@@ -8,7 +8,7 @@ subordination identity that constructs fractional-order solutions from
 the first-order one.
 """
 
-from .ctrw import CTRWParams, WalkerState, map_params, sample_waiting_time, simulate_density, step
+from .ctrw import CTRWParams, map_params, sample_waiting_time, simulate_density
 from .diffusion import DiffusionParams, d0, diffusion_density_mwright, diffusion_density_quadrature
 from .legendre import PhaseFunction, anisotropy_g, legendre_eval, phase_eval, phase_sample
 from .specfun import MLEvalConfig, f_alpha_half, m_wright, mittag_leffler, stable_density
@@ -24,7 +24,13 @@ from .spectral import (
     hermitian_mode_weights,
     ml_matrix_action,
 )
-from .subordination import SubordinationKernel, build_kernel, kernel_phi, subordinate_density
+from .subordination import (
+    SubordinationKernel,
+    build_kernel,
+    kernel_phi,
+    subordinate_density,
+    subordinated_energy_density,
+)
 from .transport import (
     CoefficientVector,
     DensityField,
@@ -52,8 +58,8 @@ __all__ = [
     "energy_density_closed_p1", "ballistic_density", "source_vector",
     "scattered_coefficients",
     "DiffusionParams", "d0", "diffusion_density_quadrature", "diffusion_density_mwright",
-    "CTRWParams", "WalkerState", "map_params", "sample_waiting_time", "step",
-    "simulate_density",
+    "CTRWParams", "map_params", "sample_waiting_time", "simulate_density",
     "SubordinationKernel", "kernel_phi", "subordinate_density", "build_kernel",
+    "subordinated_energy_density",
     "__version__",
 ]

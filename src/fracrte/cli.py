@@ -5,7 +5,8 @@ run the invariant suite (validate), or emit the benchmark figure data
 (figures).  Output is CSV with a fixed schema; configuration comes from
 flags, optionally layered over a flat key=value file.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 validation failure, 2 usage error (including
+invalid physical inputs rejected by the library), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from .diffusion import DiffusionParams, diffusion_density_mwright, diffusion_density_quadrature
 from .legendre import PhaseFunction
 from .spectral import MediumParams
+from .subordination import subordinated_energy_density
 from .transport import MODES, QuadratureSpec, energy_density
 
 CSV_HEADER = "x,U,method,alpha,t,N,mode"
@@ -55,7 +57,6 @@ class RunConfig:
     seed: int = 1
     n_walkers: int = 100000
     tau: float = 1e-4
-    threads: int = 0  # 0 means hardware default
     output_path: str = "."
 
     def __post_init__(self):
@@ -91,14 +92,6 @@ class RunConfig:
     def x_grid(self):
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
-    def worker_count(self):
-        if self.threads > 0:
-            return self.threads
-        env = os.environ.get("FRACRTE_THREADS", "")
-        if env.isdigit() and int(env) > 0:
-            return int(env)
-        return os.cpu_count() or 1
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
@@ -107,8 +100,8 @@ def _parse_value(key, raw):
     if key in ("times", "beta"):
         parts = [p for p in str(raw).replace(",", " ").split() if p]
         return tuple(float(p) for p in parts)
-    if key in ("N", "n_x", "seed", "n_walkers", "threads",
-               "nodes_per_halfperiod", "acceleration_order"):
+    if key in ("N", "n_x", "seed", "n_walkers", "nodes_per_halfperiod",
+               "acceleration_order"):
         return int(raw)
     if key in ("subcommand", "mode", "tail_mode", "output_path"):
         return str(raw)
@@ -174,7 +167,6 @@ def parse_config(argv):
     parser.add_argument("--seed", type=int)
     parser.add_argument("--n-walkers", dest="n_walkers", type=int)
     parser.add_argument("--tau", type=float)
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--output-path", dest="output_path")
     args = parser.parse_args(argv)
 
@@ -189,104 +181,55 @@ def parse_config(argv):
     return RunConfig(**values)
 
 
-def _write_csv(path, rows):
+def _write_csv(path, xs, values, method, config, t, mode):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
-        for x, u, method, alpha, t, n, mode in rows:
-            fh.write(f"{x:.12g},{u:.12g},{method},{alpha:.12g},{t:.12g},{n},{mode}\n")
+        for x, u in zip(xs, values):
+            fh.write(f"{x:.12g},{u:.12g},{method},{config.alpha:.12g},{t:.12g},"
+                     f"{config.N},{mode}\n")
+    return path
 
 
-def _density_rows(xs, values, method, alpha, t, n, mode):
-    return [(x, u, method, alpha, t, n, mode) for x, u in zip(xs, values)]
+def _write_per_time(out_dir, name, config, xs, values, method, mode):
+    """One CSV per observation time, ``<name>_alpha<alpha>_t<t>.csv``."""
+    return [_write_csv(os.path.join(out_dir, f"{name}_alpha{config.alpha:g}_t{t:g}.csv"),
+                       xs, vals, method, config, t, mode)
+            for t, vals in zip(config.times, values)]
 
 
 def _run_transport(config, out_dir):
-    params = config.medium()
     xs = config.x_grid()
-    df = energy_density(xs, config.times, params, config.N, mode=config.mode,
-                        spec=config.quadrature(), workers=config.worker_count())
-    paths = []
-    for it, t in enumerate(config.times):
-        path = os.path.join(out_dir, f"transport_alpha{config.alpha:g}_t{t:g}.csv")
-        _write_csv(path, _density_rows(xs, df.values[it], config.mode, config.alpha,
-                                       t, config.N, config.mode))
-        paths.append(path)
-    return paths
+    df = energy_density(xs, config.times, config.medium(), config.N, mode=config.mode,
+                        spec=config.quadrature())
+    return _write_per_time(out_dir, "transport", config, xs, df.values, config.mode,
+                           config.mode)
 
 
 def _run_diffusion(config, out_dir):
-    params = config.medium()
-    dp = DiffusionParams.from_medium(params)
+    dp = DiffusionParams.from_medium(config.medium())
     xs = config.x_grid()
-    paths = []
-    for t in config.times:
-        if dp.sigma_a == 0.0:
-            vals = diffusion_density_mwright(xs, t, dp)
-        else:
-            vals = np.array([diffusion_density_quadrature(x, t, dp) for x in xs])
-        path = os.path.join(out_dir, f"diffusion_alpha{config.alpha:g}_t{t:g}.csv")
-        _write_csv(path, _density_rows(xs, vals, "diffusion", config.alpha, t,
-                                       config.N, config.mode))
-        paths.append(path)
-    return paths
+    if dp.sigma_a == 0.0:
+        values = [diffusion_density_mwright(xs, t, dp) for t in config.times]
+    else:
+        values = [[diffusion_density_quadrature(x, t, dp) for x in xs] for t in config.times]
+    return _write_per_time(out_dir, "diffusion", config, xs, values, "diffusion", config.mode)
 
 
 def _run_ctrw(config, out_dir):
     from .ctrw import simulate_density
 
-    params = config.medium()
     xs = config.x_grid()
-    res = simulate_density(config.n_walkers, config.times, xs, params,
+    res = simulate_density(config.n_walkers, config.times, xs, config.medium(),
                            config.tau, config.seed)
-    paths = []
-    for it, t in enumerate(config.times):
-        path = os.path.join(out_dir, f"ctrw_alpha{config.alpha:g}_t{t:g}.csv")
-        _write_csv(path, _density_rows(xs, res.field.values[it], "ctrw",
-                                       config.alpha, t, config.N, config.mode))
-        paths.append(path)
-    return paths
+    return _write_per_time(out_dir, "ctrw", config, xs, res.field.values, "ctrw", config.mode)
 
 
 def _run_subordinate(config, out_dir):
-    """Order-alpha density built from the first-order solution.
-
-    The first-order moment data is decomposed once on a shared wavenumber
-    layout; each operational-time node only re-exponentiates and reduces,
-    and a mild mollifier regularizes the first-order wave fronts.
-    """
-    from .specfun import mittag_leffler
-    from .subordination import build_kernel
-    from .transport import _EnergyLayout, _mode_weights_batch
-
-    if not (0.0 < config.alpha < 1.0):
-        raise ValueError("subordinate requires alpha strictly inside (0, 1)")
-    params = config.medium()
-    base = replace(params, alpha=1.0)
     xs = config.x_grid()
-    spec = config.quadrature()
-    if spec.k_max is None:
-        spec = QuadratureSpec(k_max=350.0, nodes_per_halfperiod=spec.nodes_per_halfperiod,
-                              acceleration_order=spec.acceleration_order, tail_mode="none")
-    mollifier = 6.0 / spec.k_max
-    x_abs = np.abs(xs)
-    layout = _EnergyLayout(base, spec, float(np.max(x_abs)) or 1.0, spec.k_max)
-    lam, w = _mode_weights_batch(layout.flat_nodes, base, config.N, "exact")
-
-    paths = []
-    for t in config.times:
-        kernel = build_kernel(t, config.alpha)
-        acc = np.zeros(xs.shape)
-        for tau, wk in zip(kernel.nodes, kernel.weights):
-            if wk < 1e-16:
-                continue
-            ml = np.exp(-(lam.ravel()) * tau).reshape(lam.shape)
-            u_hat = np.einsum("kn,kn->k", w, ml).real
-            acc += wk * layout.reduce(u_hat, x_abs, tau, mollifier_width=mollifier)
-        path = os.path.join(out_dir, f"subordinate_alpha{config.alpha:g}_t{t:g}.csv")
-        _write_csv(path, _density_rows(xs, acc, "subordinate", config.alpha, t,
-                                       config.N, "exact"))
-        paths.append(path)
-    return paths
+    df = subordinated_energy_density(xs, config.times, config.medium(), config.N,
+                                     spec=config.quadrature())
+    return _write_per_time(out_dir, "subordinate", config, xs, df.values, "subordinate",
+                           "exact")
 
 
 def _run_figures(config, out_dir):
@@ -296,17 +239,15 @@ def _run_figures(config, out_dir):
         params = cfg.medium()
         xs = cfg.x_grid()
         df = energy_density(xs, times, params, cfg.N, mode=cfg.mode,
-                            spec=cfg.quadrature(), workers=cfg.worker_count())
+                            spec=cfg.quadrature())
         dp = DiffusionParams.from_medium(params)
-        for it, t in enumerate(times):
-            p1 = os.path.join(out_dir, f"figures_alpha{alpha:g}_t{t:g}_transport.csv")
-            _write_csv(p1, _density_rows(xs, df.values[it], cfg.mode, alpha, t,
-                                         cfg.N, cfg.mode))
-            vals = diffusion_density_mwright(xs, t, dp)
-            p2 = os.path.join(out_dir, f"figures_alpha{alpha:g}_t{t:g}_diffusion.csv")
-            _write_csv(p2, _density_rows(xs, vals, "diffusion", alpha, t,
-                                         cfg.N, cfg.mode))
-            paths.extend([p1, p2])
+        for t, u_t in zip(times, df.values):
+            stem = os.path.join(out_dir, f"figures_alpha{alpha:g}_t{t:g}")
+            paths.append(_write_csv(f"{stem}_transport.csv", xs, u_t, cfg.mode, cfg, t,
+                                    cfg.mode))
+            paths.append(_write_csv(f"{stem}_diffusion.csv", xs,
+                                    diffusion_density_mwright(xs, t, dp), "diffusion",
+                                    cfg, t, cfg.mode))
     return paths
 
 
@@ -411,12 +352,12 @@ def run(config):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    # run() reports its own I/O failures (exit 3)
     try:
-        config = parse_config(argv)
+        return run(parse_config(argv))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ by (seed, block index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +24,9 @@ from .transport import DensityField
 
 __all__ = [
     "CTRWParams",
-    "WalkerState",
     "CTRWResult",
     "map_params",
     "sample_waiting_time",
-    "step",
     "simulate_density",
 ]
 
@@ -101,43 +99,68 @@ def sample_waiting_time(alpha, tau, rng, n=None):
     return float(t[0]) if squeeze else t
 
 
-@dataclass(frozen=True)
-class WalkerState:
-    """One walker: position, direction, elapsed clock, alive flag.
+class _Walkers:
+    """A block of live walkers at the origin with directions ``mu``.
 
-    ``weight`` carries the signed importance factor accumulated by
-    scattering off kernel columns with negative lobes; it stays exactly 1
-    while the sampled columns are non-negative.
+    Position, direction, clock, alive flag and weight are parallel arrays
+    updated in place.  ``weight`` carries the signed importance factor
+    accumulated by scattering off kernel columns with negative lobes; it
+    stays exactly 1 while the sampled columns are non-negative.  The
+    ``snap_*`` arrays, one row per observation time, hold each walker's
+    state at that time (position after its last event at or before it).
     """
 
-    x: float
-    mu: float
-    clock: float
-    alive: bool = True
-    weight: float = 1.0
+    def __init__(self, mu, t_obs=()):
+        self.mu = np.asarray(mu, dtype=float)
+        m = self.mu.size
+        self.x, self.clock = np.zeros(m), np.zeros(m)
+        self.alive = np.ones(m, dtype=bool)
+        self.weight = np.ones(m)
+        self.t_obs = t_obs
+        self.snap_x = np.zeros((len(t_obs), m))
+        self.snap_w = np.zeros((len(t_obs), m))
+        self.snap_alive = np.zeros((len(t_obs), m), dtype=bool)
+
+    def observe(self, idx, start, end):
+        """Snapshot walkers ``idx`` whose waiting interval [start, end) holds
+        an observation time; call before the event changes their state."""
+        for it, t_o in enumerate(self.t_obs):
+            cidx = idx[(start <= t_o) & (end > t_o)]
+            self.snap_x[it, cidx] = self.x[cidx]
+            self.snap_w[it, cidx] = self.weight[cidx]
+            self.snap_alive[it, cidx] = True
 
 
-def step(w, cp, pf, rng):
-    """Advance a walker by one renewal event.
+def _renewal_step(walkers, idx, cp, pf, rng):
+    """Advance the walkers at indices ``idx`` by one renewal event each.
 
-    The clock advances by a sampled waiting time, then exactly one of
-    three things happens: with probability xi_s the direction is resampled
-    from the kernel column (position unchanged), with probability
-    1 - xi_t the walker moves by mu * r (direction unchanged), and with
-    probability xi_a it is absorbed.
+    Each clock advances by a sampled waiting time (observation times
+    crossed by it snapshot the pre-event state), then exactly one of three
+    things happens: with probability xi_s the direction is resampled from
+    the kernel column (position unchanged), with probability 1 - xi_t the
+    walker moves by mu * r (direction unchanged), and with probability
+    xi_a it is absorbed.  Randomness is drawn in that order (waiting
+    times, event uniforms, phase samples), which fixes the stream for a
+    seed.  Returns the new clocks of the stepped walkers.
     """
-    if not w.alive:
+    if not np.all(walkers.alive[idx]):
         raise DomainError("cannot step a dead walker")
-    wait = sample_waiting_time(cp.alpha, cp.tau, rng)
-    clock = w.clock + wait
-    u = rng.random()
-    if u < cp.xi_s:
-        mu_new, wfac = phase_sample_batch(pf, np.array([w.mu]), rng)
-        return replace(w, mu=float(mu_new[0]), clock=clock,
-                       weight=w.weight * float(wfac[0]))
-    if u < cp.xi_t:
-        return replace(w, clock=clock, alive=False)
-    return replace(w, x=w.x + w.mu * cp.r, clock=clock)
+    start = walkers.clock[idx]
+    end = start + sample_waiting_time(cp.alpha, cp.tau, rng, n=idx.size)
+    walkers.observe(idx, start, end)
+    walkers.clock[idx] = end
+    u = rng.random(idx.size)
+    scatter = u < cp.xi_s
+    absorb = (u >= cp.xi_s) & (u < cp.xi_t)
+    sc_idx = idx[scatter]
+    if sc_idx.size:
+        mu_new, wfac = phase_sample_batch(pf, walkers.mu[sc_idx], rng)
+        walkers.mu[sc_idx] = mu_new
+        walkers.weight[sc_idx] *= wfac
+    mv_idx = idx[~scatter & ~absorb]
+    walkers.x[mv_idx] += walkers.mu[mv_idx] * cp.r
+    walkers.alive[idx[absorb]] = False
+    return end
 
 
 @dataclass(frozen=True)
@@ -217,43 +240,12 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed, pf=None):
 
 
 def _run_block(m, t_obs, cp, pf, rng):
-    """Vectorized renewal loop for one walker block."""
-    x = np.zeros(m)
-    mu = rng.uniform(-1.0, 1.0, size=m)
-    w = np.ones(m)
-    clock = np.zeros(m)
-    alive = np.ones(m, dtype=bool)
+    """Renewal loop for one walker block."""
+    walkers = _Walkers(rng.uniform(-1.0, 1.0, size=m), t_obs)
     t_end = float(t_obs[-1])
-
-    n_t = t_obs.size
-    snap_x = np.zeros((n_t, m))
-    snap_w = np.zeros((n_t, m))
-    snap_alive = np.zeros((n_t, m), dtype=bool)
-
-    active = alive & (clock <= t_end)
-    while np.any(active):
-        idx = np.flatnonzero(active)
-        wait = sample_waiting_time(cp.alpha, cp.tau, rng, n=idx.size)
-        new_clock = clock[idx] + wait
-        # snapshot observation times crossed by this waiting interval;
-        # the recorded position is the pre-event (frozen) state
-        for it, t_o in enumerate(t_obs):
-            cidx = idx[(clock[idx] <= t_o) & (new_clock > t_o)]
-            snap_x[it, cidx] = x[cidx]
-            snap_w[it, cidx] = w[cidx]
-            snap_alive[it, cidx] = True
-        clock[idx] = new_clock
-
-        u = rng.random(idx.size)
-        scatter = u < cp.xi_s
-        absorb = (u >= cp.xi_s) & (u < cp.xi_t)
-        sc_idx = idx[scatter]
-        if sc_idx.size:
-            mu_new, wfac = phase_sample_batch(pf, mu[sc_idx], rng)
-            mu[sc_idx] = mu_new
-            w[sc_idx] *= wfac
-        mv_idx = idx[~scatter & ~absorb]
-        x[mv_idx] += mu[mv_idx] * cp.r
-        alive[idx[absorb]] = False
-        active = alive & (clock <= t_end)
-    return snap_x, snap_w, snap_alive
+    idx = np.flatnonzero(walkers.clock <= t_end)
+    while idx.size:
+        # the active set only shrinks: dead walkers and clocks past t_end never rejoin
+        end = _renewal_step(walkers, idx, cp, pf, rng)
+        idx = idx[walkers.alive[idx] & (end <= t_end)]
+    return walkers.snap_x, walkers.snap_w, walkers.snap_alive

@@ -164,6 +164,18 @@ class ModeDecomposition:
     operator_norm: float = field(default=0.0)
 
 
+def defective_mask(lam, cond, norm):
+    """Coalescence test, vectorized over leading batch axes of ``lam``.
+
+    Defective means the smallest eigenvalue gap is below
+    ``_GAP_FACTOR * norm`` and cond(Q) exceeds 1e7.
+    """
+    idx = np.arange(lam.shape[-1])
+    gaps = np.abs(lam[..., :, None] - lam[..., None, :])
+    gaps[..., idx, idx] = np.inf
+    return (gaps.min(axis=(-2, -1)) < _GAP_FACTOR * norm) & (cond > 1e7)
+
+
 def decompose(op):
     """Full eigendecomposition of the operator with left eigenvectors.
 
@@ -177,11 +189,8 @@ def decompose(op):
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigensolver failed at k={op.k}", k=op.k) from exc
     norm = op.norm if op.norm > 0 else 1.0
-    gaps = np.abs(lam[:, None] - lam[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    min_gap = float(gaps.min()) if lam.size > 1 else np.inf
     cond = float(np.linalg.cond(Q))
-    defective = min_gap < _GAP_FACTOR * norm and cond > 1e7
+    defective = bool(defective_mask(lam, cond, norm))
     if defective:
         cond = np.inf
         Qinv = np.full_like(Q, np.nan)

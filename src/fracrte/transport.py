@@ -13,7 +13,6 @@ subtracted and its exact transform added back.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +24,7 @@ from .spectral import (
     assemble_operator,
     critical_wavenumber,
     decompose,
+    defective_mask,
     hermitian_matrix_action,
     ml_matrix_action,
 )
@@ -417,19 +417,16 @@ def _monotone_path(integrand, x, spec, k_max, k_scale):
 def _mode_weights_batch(k_nodes, params, N, mode):
     """Eigenvalues and component-0 weights at many wavenumbers.
 
-    Batched eigendecomposition; nodes flagged defective are displaced by
-    1e-7 k_c, which is invisible at quadrature accuracy.
+    Batched eigendecomposition; nodes flagged defective by the same test as
+    :func:`decompose` are displaced by 1e-7 k_c, which is invisible at
+    quadrature accuracy.
     """
     kc_scale = max(critical_wavenumber(params), 1.0)
     ks = np.array(k_nodes, dtype=float)
     mats = np.stack([assemble_operator(k, params, N).entries for k in ks])
     lam, Q = np.linalg.eig(mats)
     norms = np.max(np.sum(np.abs(mats), axis=2), axis=1)
-    gaps = np.abs(lam[:, :, None] - lam[:, None, :])
-    idx = np.arange(N + 1)
-    gaps[:, idx, idx] = np.inf
-    bad = (gaps.min(axis=(1, 2)) < 1e-7 * norms) & (np.linalg.cond(Q) > 1e7)
-    for i in np.flatnonzero(bad):
+    for i in np.flatnonzero(defective_mask(lam, np.linalg.cond(Q), norms)):
         dec = _decompose_displaced(ks[i], params, N, scale=kc_scale)
         lam[i] = dec.eigenvalues
         Q[i] = dec.right_vectors
@@ -487,7 +484,17 @@ class _EnergyLayout:
         n_top = (len(self.edges) - 1 - self.n_seg_a) // 3 * spec.nodes_per_halfperiod
         self._top = slice(-max(n_top, 2 * spec.nodes_per_halfperiod), None)
 
-    def reduce(self, u_hat_flat, x_abs, t, workers=None, mollifier_width=None):
+    @classmethod
+    def for_positions(cls, params, spec, x_abs):
+        """Layout for positions ``x_abs``: unless the spec fixes k_max, the
+        smallest nonzero |x| sets it; the largest |x| caps the panel width."""
+        nonzero = x_abs[x_abs > 0]
+        x_min = float(np.min(nonzero)) if nonzero.size else 1.0
+        x_max = float(np.max(x_abs)) if x_abs.size else 1.0
+        k_max = _effective_k_max(spec, x_min, critical_wavenumber(params))
+        return cls(params, spec, x_max, k_max)
+
+    def reduce(self, u_hat_flat, x_abs, t, mollifier_width=None):
         """Cosine-transform precomputed integrand values onto positions."""
         spec, params = self.spec, self.params
         u_hat = np.asarray(u_hat_flat, dtype=float).copy()
@@ -518,14 +525,28 @@ class _EnergyLayout:
                 val += tail.transform(xv)
             return val
 
-        if workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return np.array(list(pool.map(one_x, x_abs)))
         return np.array([one_x(xv) for xv in x_abs])
 
 
+def _modal_density(x_abs, times, params, N, mode, spec, factors, mollifier_width=None):
+    """Energy density values, shape (len(times), len(x_abs)), from modal factors.
+
+    One layout and one batched decomposition serve every time; per time,
+    ``factors(lam, t)`` gives the evolution factor of each (wavenumber,
+    mode) pair, the weighted mode sum gives the transformed density, and
+    one reduction maps it onto the positions.
+    """
+    layout = _EnergyLayout.for_positions(params, spec, x_abs)
+    lam, w = _mode_weights_batch(layout.flat_nodes, params, N, mode)
+    values = np.empty((len(times), x_abs.size))
+    for it, t in enumerate(times):
+        u_hat = np.einsum("kn,kn->k", w, factors(lam, t)).real
+        values[it] = layout.reduce(u_hat, x_abs, t, mollifier_width=mollifier_width)
+    return values
+
+
 def energy_density(x_grid, times, params, N, mode="hermitian", spec=None,
-                   ml_config=None, workers=None, mollifier_width=None):
+                   ml_config=None, mollifier_width=None):
     """Energy density U(x, t; N) for an isotropic unit pulse at the origin.
 
     The transformed density is real and even in k, so only the cosine part
@@ -543,8 +564,6 @@ def energy_density(x_grid, times, params, N, mode="hermitian", spec=None,
         Truncation order, >= kernel degree.
     mode : {"exact", "hermitian"}
     spec : QuadratureSpec, optional
-    workers : int, optional
-        Thread count for the per-position reduction (default serial).
     mollifier_width : float, optional
         Width of a Gaussian mollifier applied in transform space; use it
         to regularize the traveling wave-front singularities of low
@@ -560,24 +579,13 @@ def energy_density(x_grid, times, params, N, mode="hermitian", spec=None,
     times = tuple(float(t) for t in np.atleast_1d(times))
     if any(t <= 0 for t in times):
         raise DomainError("times must be positive")
-    spec = spec or QuadratureSpec()
-    k_c = critical_wavenumber(params)
-    x_abs = np.abs(x_grid)
-    x_max = float(np.max(x_abs)) if x_grid.size else 1.0
-    nonzero = x_abs[x_abs > 0]
-    x_min = float(np.min(nonzero)) if nonzero.size else 1.0
-    k_max = _effective_k_max(spec, x_min, k_c)
 
-    layout = _EnergyLayout(params, spec, x_max, k_max)
-    lam, w = _mode_weights_batch(layout.flat_nodes, params, N, mode)
+    def factors(lam, t):
+        return mittag_leffler(params.alpha, -(lam.ravel()) * t**params.alpha,
+                              config=ml_config).reshape(lam.shape)
 
-    values = np.empty((len(times), x_grid.size))
-    for it, t in enumerate(times):
-        ml = mittag_leffler(params.alpha, -(lam.ravel()) * t**params.alpha,
-                            config=ml_config).reshape(lam.shape)
-        u_hat = np.einsum("kn,kn->k", w, ml).real
-        values[it] = layout.reduce(u_hat, x_abs, t, workers=workers,
-                                   mollifier_width=mollifier_width)
+    values = _modal_density(np.abs(x_grid), times, params, N, mode,
+                            spec or QuadratureSpec(), factors, mollifier_width)
     return DensityField(
         x_grid=x_grid,
         times=times,
@@ -651,11 +659,7 @@ def energy_density_closed_p1(x, t, params, spec=None, ml_config=None):
     spec = spec or QuadratureSpec()
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     x_abs = np.abs(x_arr)
-    nonzero = x_abs[x_abs > 0]
-    x_min = float(np.min(nonzero)) if nonzero.size else 1.0
-    k_c = critical_wavenumber(params)
-    k_max = _effective_k_max(spec, x_min, k_c)
-    layout = _EnergyLayout(params, spec, float(np.max(x_abs)) if x_abs.size else 1.0, k_max)
+    layout = _EnergyLayout.for_positions(params, spec, x_abs)
     u_hat = _closed_p1_integrand(layout.flat_nodes, t, params, ml_config=ml_config)
     vals = layout.reduce(u_hat, x_abs, t)
     return float(vals[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals

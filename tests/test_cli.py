@@ -114,10 +114,27 @@ def test_validate_subcommand_passes():
     assert main(["validate", "--alpha", "0.5", "--t", "0.05"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["transport", "--N", "0"],
+    ["transport", "--g", "1.5"],
+    ["subordinate", "--alpha", "1"],
+    ["ctrw", "--n-walkers", "0"],
+])
+def test_invalid_physical_input_is_usage_error(argv, tmp_path, capsys):
+    assert main(argv + ["--output-path", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.slow
 def test_subordinate_subcommand_matches_direct(tmp_path):
     # the subordinated CSV is a genuine density: positive near the source
-    # and close in L1 to the direct fractional solve at matching settings
+    # and close in L1 to the direct mollified fractional solve at matching
+    # settings (criterion 7's bound)
+    from fracrte.spectral import section5_medium
+    from fracrte.transport import QuadratureSpec, energy_density
+
     code = main(["subordinate", "--alpha", "0.5", "--t", "0.05", "--n-x", "41",
                  "--output-path", str(tmp_path)])
     assert code == 0
@@ -126,6 +143,10 @@ def test_subordinate_subcommand_matches_direct(tmp_path):
     vals = np.array([float(r.split(",")[1]) for r in rows])
     assert vals[len(vals) // 2] > 1.0
     assert np.all(vals[np.abs(xs) < 1.0] > 0)
+    spec = QuadratureSpec(k_max=350.0, tail_mode="none")
+    direct = energy_density(xs, [0.05], section5_medium(0.5), 1, mode="exact", spec=spec,
+                            mollifier_width=6.0 / 350.0).values[0]
+    assert np.sum(np.abs(vals - direct)) / np.sum(np.abs(direct)) < 1e-3
 
 
 @pytest.mark.slow

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from fracrte.ctrw import (
-    WalkerState,
+    _renewal_step,
+    _Walkers,
     map_params,
     sample_waiting_time,
     simulate_density,
-    step,
 )
 from fracrte.errors import DomainError, ScaleError
 from fracrte.legendre import PhaseFunction
@@ -80,22 +80,15 @@ class TestWaitingTimes:
 class TestStep:
     def test_event_frequencies(self, medium):
         cp = map_params(medium, 1e-4)
-        pf = medium.phase
         rng = np.random.default_rng(3)
-        w = WalkerState(x=0.0, mu=0.3, clock=0.0)
         n = 100_000
-        scattered = moved = 0
-        for _ in range(n):
-            w2 = step(w, cp, pf, rng)
-            assert w2.alive  # xi_a = 0 here
-            if w2.x != w.x:
-                moved += 1
-                assert w2.mu == w.mu
-                assert w2.x - w.x == pytest.approx(w.mu * cp.r)
-            else:
-                scattered += 1
-                assert w2.x == w.x
-        for frac, expect in ((scattered / n, cp.xi_s), (moved / n, 1 - cp.xi_t)):
+        walkers = _Walkers(np.full(n, 0.3))
+        _renewal_step(walkers, np.arange(n), cp, medium.phase, rng)
+        assert np.all(walkers.alive)  # xi_a = 0 here
+        moved = walkers.x != 0.0
+        assert np.all(walkers.mu[moved] == 0.3)
+        assert walkers.x[moved] == pytest.approx(np.full(moved.sum(), 0.3 * cp.r))
+        for frac, expect in ((np.mean(~moved), cp.xi_s), (np.mean(moved), 1 - cp.xi_t)):
             sig = np.sqrt(expect * (1 - expect) / n)
             assert abs(frac - expect) < 3.5 * sig
 
@@ -104,37 +97,37 @@ class TestStep:
                          phase=PhaseFunction.isotropic())
         cp = map_params(m, 1e-2)
         rng = np.random.default_rng(4)
-        w = WalkerState(x=0.0, mu=0.5, clock=0.0)
-        for _ in range(500):
-            w2 = step(w, cp, m.phase, rng)
-            if not w2.alive:
-                break
-        else:
+        walkers = _Walkers(np.full(500, 0.5))
+        _renewal_step(walkers, np.arange(500), cp, m.phase, rng)
+        dead = np.flatnonzero(~walkers.alive)
+        if not dead.size:
             pytest.fail("no absorption in 500 strongly absorbing events")
         with pytest.raises(DomainError):
-            step(w2, cp, m.phase, rng)
+            _renewal_step(walkers, dead[:1], cp, m.phase, rng)
 
     def test_clock_monotone(self, medium):
         # non-decreasing: the heavy-tailed sampler can produce waits that
         # underflow to zero against a large accumulated clock
         cp = map_params(medium, 1e-4)
         rng = np.random.default_rng(5)
-        w = WalkerState(x=0.0, mu=0.1, clock=0.0)
+        walkers = _Walkers(np.full(100, 0.1))
+        idx = np.arange(100)
         for _ in range(200):
-            w2 = step(w, cp, medium.phase, rng)
-            assert w2.clock >= w.clock
-            w = w2
+            before = walkers.clock.copy()
+            _renewal_step(walkers, idx, cp, medium.phase, rng)
+            assert np.all(walkers.clock >= before)
 
     def test_mean_direction_after_scattering(self, medium):
         cp = map_params(medium, 1e-4)
         rng = np.random.default_rng(6)
         mu_prime = 0.25  # non-negative kernel column
-        acc = []
-        w0 = WalkerState(x=0.0, mu=mu_prime, clock=0.0)
-        while len(acc) < 50_000:
-            w2 = step(w0, cp, medium.phase, rng)
-            if w2.x == w0.x:
-                acc.append(w2.mu)
+        n = 50_000
+        acc = np.empty(0)
+        while acc.size < n:
+            walkers = _Walkers(np.full(n, mu_prime))
+            _renewal_step(walkers, np.arange(n), cp, medium.phase, rng)
+            acc = np.concatenate((acc, walkers.mu[walkers.x == 0.0]))
+        acc = acc[:n]
         est = np.mean(acc)
         expect = 0.9 * mu_prime
         assert abs(est - expect) < 3.5 * np.std(acc) / np.sqrt(len(acc))

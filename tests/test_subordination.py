@@ -7,7 +7,12 @@ from scipy.special import gamma
 from fracrte.diffusion import DiffusionParams, diffusion_density_mwright
 from fracrte.errors import DomainError
 from fracrte.specfun import f_alpha_half
-from fracrte.subordination import build_kernel, kernel_phi, subordinate_density
+from fracrte.subordination import (
+    build_kernel,
+    kernel_phi,
+    subordinate_density,
+    subordinated_energy_density,
+)
 
 D0 = 1.0 / 3.0
 
@@ -78,28 +83,21 @@ class TestSubordination:
 
     def test_transport_identity_small(self):
         # subordinating the first-order transport solution reproduces the
-        # half-order solution; both sides carry the same mollifier so the
-        # comparison tests the identity, not delta-regularization choices
+        # half-order solution; both sides carry the same mollifier (6/k_max)
+        # so the comparison tests the identity, not delta-regularization
+        # choices
         from fracrte.spectral import section5_medium
         from fracrte.transport import QuadratureSpec, energy_density
 
         eps = 0.02
         t = 0.05
         m_half = section5_medium(0.5)
-        m_one = section5_medium(1.0)
         xs = np.linspace(0.0, 1.5, 16)
         spec = QuadratureSpec(k_max=300.0, tail_mode="none")
 
         direct = energy_density(xs, [t], m_half, 1, mode="exact", spec=spec,
                                 mollifier_width=eps).values[0]
-        kernel = build_kernel(t, 0.5, n_nodes=2000)
-
-        def u1(x, tau):
-            return energy_density(np.atleast_1d(x), [tau], m_one, 1,
-                                   mode="exact", spec=spec,
-                                   mollifier_width=eps).values[0]
-
-        sub = subordinate_density(u1, xs, t, 0.5, kernel=kernel)
+        sub = subordinated_energy_density(xs, [t], m_half, 1, spec=spec).values[0]
         num = np.trapezoid(np.abs(sub - direct), xs)
         den = np.trapezoid(np.abs(direct), xs)
         assert num / den < 1e-3

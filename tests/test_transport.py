@@ -194,12 +194,6 @@ class TestEnergyDensity:
         dfh = energy_density(xs, [0.05], medium, 1, mode="hermitian")
         assert np.max(np.abs(dfe.values - dfh.values)) > 1e-3
 
-    def test_workers_do_not_change_values(self, medium):
-        xs = np.linspace(0.0, 2.0, 9)
-        a = energy_density(xs, [0.05], medium, 1, workers=1).values
-        b = energy_density(xs, [0.05], medium, 1, workers=4).values
-        assert np.array_equal(a, b)
-
 
 class TestBallistic:
     def test_mass_order_one(self):
