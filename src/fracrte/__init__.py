@@ -11,7 +11,7 @@ the first-order one.
 from .ctrw import CTRWParams, map_params, sample_waiting_time, simulate_density
 from .diffusion import DiffusionParams, d0, diffusion_density_mwright, diffusion_density_quadrature
 from .legendre import PhaseFunction, anisotropy_g, legendre_eval, phase_eval, phase_sample
-from .specfun import MLEvalConfig, f_alpha_half, m_wright, mittag_leffler, stable_density
+from .specfun import f_alpha_half, m_wright, mittag_leffler, stable_density
 from .spectral import (
     MediumParams,
     ModeDecomposition,
@@ -48,7 +48,7 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MLEvalConfig", "mittag_leffler", "m_wright", "f_alpha_half", "stable_density",
+    "mittag_leffler", "m_wright", "f_alpha_half", "stable_density",
     "PhaseFunction", "legendre_eval", "phase_eval", "anisotropy_g", "phase_sample",
     "MediumParams", "SpectralOperator", "ModeDecomposition", "h_coeff",
     "assemble_operator", "decompose", "ml_matrix_action", "hermitian_mode_weights",

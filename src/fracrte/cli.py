@@ -6,7 +6,9 @@ run the invariant suite (validate), or emit the benchmark figure data
 flags, optionally layered over a flat key=value file.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including
-invalid physical inputs rejected by the library), 3 I/O error.
+invalid physical inputs rejected by the library), 3 I/O error, 4 numerical
+failure (a series, eigensolver, resolvent or quadrature that did not
+converge on valid input).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .diffusion import DiffusionParams, diffusion_density_mwright, diffusion_density_quadrature
+from .errors import NumericalError
 from .legendre import PhaseFunction
 from .spectral import MediumParams
 from .subordination import subordinated_energy_density
@@ -358,6 +361,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -188,7 +188,7 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed, pf=None):
     t_obs : sequence of float
         Increasing observation times.
     x_grid : array_like
-        Uniform bin centers.
+        Increasing, uniformly spaced bin centers (at least two).
     params : MediumParams
     tau : float
         Renewal time scale; sigma_t tau^alpha must stay below 1.
@@ -206,7 +206,12 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed, pf=None):
     if np.any(t_obs <= 0) or np.any(np.diff(t_obs) <= 0):
         raise DomainError("observation times must be positive and increasing")
     centers = np.asarray(x_grid, dtype=float)
-    dx = centers[1] - centers[0]
+    if centers.ndim != 1 or centers.size < 2:
+        raise DomainError("x_grid needs at least two bin centers")
+    spacing = np.diff(centers)
+    dx = spacing[0]
+    if not (dx > 0 and np.all(np.abs(spacing - dx) <= 1e-9 * dx)):
+        raise DomainError("x_grid must be increasing with uniform spacing (1e-9 relative)")
     edges = np.concatenate((centers - 0.5 * dx, [centers[-1] + 0.5 * dx]))
 
     hist_w = np.zeros((t_obs.size, centers.size))

@@ -64,7 +64,7 @@ def d0(params):
     return params.v**2 / (3.0 * (1.0 - g) * params.sigma_s)
 
 
-def diffusion_density_quadrature(x, t, dp, spec=None, ml_config=None):
+def diffusion_density_quadrature(x, t, dp, spec=None):
     """Fundamental diffusion solution by cosine-transform quadrature.
 
     Evaluates (1/pi) * integral_0^inf cos(kx) E_alpha(-(D0 k^2 + sigma_a)
@@ -77,8 +77,7 @@ def diffusion_density_quadrature(x, t, dp, spec=None, ml_config=None):
 
     def f(k):
         k = np.asarray(k, dtype=float)
-        return mittag_leffler(alpha, -(D0 * k**2 + sig_a) * t**alpha,
-                              config=ml_config).real
+        return mittag_leffler(alpha, -(D0 * k**2 + sig_a) * t**alpha).real
 
     k_scale = 1.0 / np.sqrt(D0 * t**alpha)
     if spec.k_max is None:

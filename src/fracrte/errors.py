@@ -2,7 +2,8 @@
 
 Domain violations subclass ``ValueError`` so callers that only know the
 standard library still catch them; numerical failures subclass
-``RuntimeError`` and carry enough state to diagnose where the method broke.
+:class:`NumericalError` (a ``RuntimeError``) and carry enough state to
+diagnose where the method broke.
 """
 
 
@@ -10,7 +11,11 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A numerical method failed on valid input."""
+
+
+class ConvergenceError(NumericalError):
     """A series or iteration failed to reach the requested tolerance.
 
     Attributes
@@ -35,7 +40,7 @@ class ConfigurationError(ValueError):
     """Inconsistent solver configuration (e.g. truncation below kernel degree)."""
 
 
-class EigenSolverError(RuntimeError):
+class EigenSolverError(NumericalError):
     """Eigendecomposition failed; carries the wavenumber being processed."""
 
     def __init__(self, message, k=None):
@@ -43,7 +48,7 @@ class EigenSolverError(RuntimeError):
         self.k = k
 
 
-class DefectiveOperatorError(RuntimeError):
+class DefectiveOperatorError(NumericalError):
     """Eigenvalues coalesced; the left/right eigenvector expansion is invalid."""
 
     def __init__(self, message, k=None, gap=None):
@@ -52,11 +57,11 @@ class DefectiveOperatorError(RuntimeError):
         self.gap = gap
 
 
-class ResolventError(RuntimeError):
+class ResolventError(NumericalError):
     """A shifted operator was (numerically) singular during a resolvent solve."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError):
     """Oscillatory quadrature or its accelerator failed to converge.
 
     Attributes

@@ -13,57 +13,29 @@ argument; they are safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, rgamma
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["MLEvalConfig", "mittag_leffler", "m_wright", "f_alpha_half", "stable_density"]
+__all__ = ["mittag_leffler", "m_wright", "f_alpha_half", "stable_density"]
 
+# Region boundaries and tolerances: the Taylor series serves |z| <= 1; the
+# asymptotic expansion is attempted from a threshold that never exceeds
+# |z| = 10 (it shrinks for small orders, where the expansion converges
+# earlier); series stop at the relative tolerance or fail after the term cap.
+_SERIES_RADIUS = 1.0
+_ASYMPTOTIC_RADIUS = 10.0
+_RTOL = 1e-11
+_MAX_TERMS = 500
 
-@dataclass(frozen=True)
-class MLEvalConfig:
-    """Region boundaries and tolerances for Mittag-Leffler evaluation.
-
-    Parameters
-    ----------
-    series_cutoff_radius : float
-        Taylor series is used for ``|z| <=`` this radius.
-    target_rel_tol : float
-        Requested relative accuracy of the returned value.
-    max_terms : int
-        Hard cap on series terms before a :class:`ConvergenceError`.
-    asymptotic_radius : float
-        The asymptotic expansion is attempted for ``|z| >=`` a threshold
-        that never exceeds this radius (it shrinks for small orders where
-        the expansion converges earlier).
-    """
-
-    series_cutoff_radius: float = 1.0
-    target_rel_tol: float = 1e-11
-    max_terms: int = 500
-    asymptotic_radius: float = 10.0
-
-    def __post_init__(self):
-        if not (0.0 < self.series_cutoff_radius <= self.asymptotic_radius):
-            raise DomainError(
-                "require 0 < series_cutoff_radius <= asymptotic_radius, got "
-                f"{self.series_cutoff_radius} and {self.asymptotic_radius}"
-            )
-        if not (0.0 < self.target_rel_tol <= 1e-4):
-            raise DomainError(f"target_rel_tol must be in (0, 1e-4], got {self.target_rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be positive")
-
-
-_DEFAULT_CONFIG = MLEvalConfig()
-
-# Contour parameters: ray angles phi0 are chosen per point so the pole of
-# the resolvent never sits close to a ray; eps is the arc radius.
-_PHI0_CANDIDATES = (0.75 * np.pi, 0.60 * np.pi, 0.87 * np.pi, 0.55 * np.pi)
+# Contour ray angles: the first serves every point whose resolvent pole
+# (if on the principal sheet) keeps 2 * _MIN_POLE_RAY_GAP from it; a pole
+# that close to 0.75 pi lies at least 0.15 pi - 0.1 > 0.37 from 0.60 pi,
+# so the second serves the rest.  The arc joining the rays has radius
+# _ARC_RADIUS.
+_RAY_ANGLES = (0.75 * np.pi, 0.60 * np.pi)
 _ARC_RADIUS = 0.3
 _MIN_POLE_RAY_GAP = 0.05
 
@@ -144,18 +116,6 @@ def _ml_asymptotic(alpha, z, rtol, max_terms=220):
     return total, ok
 
 
-def _choose_phi0(theta_pole):
-    """Ray angle keeping the resolvent pole (at angle theta_pole) off the rays."""
-    best, best_gap = _PHI0_CANDIDATES[0], -1.0
-    for phi0 in _PHI0_CANDIDATES:
-        gap = abs(abs(theta_pole) - phi0)
-        if gap >= 2 * _MIN_POLE_RAY_GAP:
-            return phi0, gap
-        if gap > best_gap:
-            best, best_gap = phi0, gap
-    return best, best_gap
-
-
 def _contour_nodes(phi0, n_panels=16, n_gauss=18, n_arc=48):
     """Gauss nodes/weights for the two rays and the arc of the contour."""
     chi_max = 46.0 / abs(np.cos(phi0))
@@ -200,42 +160,6 @@ def _ml_contour_batch(alpha, z, phi0):
     return total
 
 
-def _ml_contour_scalar(alpha, z0, rtol):
-    """Adaptive-quadrature fallback for a pole sitting close to a ray."""
-    theta_p = np.angle(z0) / alpha
-    phi0, _ = _choose_phi0(theta_p)
-    chi_max = 46.0 / abs(np.cos(phi0))
-    pole_chi = abs(z0) ** (1.0 / alpha)
-    pts = [pole_chi] if _ARC_RADIUS < pole_chi < chi_max else None
-
-    def ray_part(chi, sign, component):
-        s = chi * np.exp(sign * 1j * phi0)
-        val = np.exp(s) * s ** (alpha - 1.0) * np.exp(sign * 1j * phi0) / (s**alpha - z0)
-        return val.real if component == 0 else val.imag
-
-    total = 0j
-    for sign, fac in ((+1, 1.0), (-1, -1.0)):
-        for component, unit in ((0, 1.0), (1, 1j)):
-            val, _err = quad(
-                ray_part, _ARC_RADIUS, chi_max, args=(sign, component),
-                epsabs=1e-14, epsrel=rtol, limit=400, points=pts,
-            )
-            total += fac * unit * val
-
-    def arc_part(theta, component):
-        s = _ARC_RADIUS * np.exp(1j * theta)
-        val = np.exp(s) * s ** (alpha - 1.0) * 1j * s / (s**alpha - z0)
-        return val.real if component == 0 else val.imag
-
-    for component, unit in ((0, 1.0), (1, 1j)):
-        val, _err = quad(arc_part, -phi0, phi0, args=(component,), epsabs=1e-14, epsrel=rtol, limit=200)
-        total += unit * val
-    total /= 2j * np.pi
-    if abs(np.angle(z0)) < alpha * phi0:
-        total += np.exp(z0 ** (1.0 / alpha)) / alpha
-    return total
-
-
 def _asymptotic_attempt_radius(alpha, rtol):
     """Smallest |z| at which the asymptotic expansion can reach rtol.
 
@@ -245,26 +169,25 @@ def _asymptotic_attempt_radius(alpha, rtol):
     return max(2.0, (-np.log(rtol * 1e-3)) ** alpha)
 
 
-def _ml_eval_core(alpha, z, config):
+def _ml_eval_core(alpha, z):
     """Dispatch a flat complex array through the three evaluation regions."""
-    rtol = config.target_rel_tol
     out = np.empty(z.shape, dtype=complex)
     az = np.abs(z)
 
-    near = az <= config.series_cutoff_radius
+    near = az <= _SERIES_RADIUS
     if np.any(near):
-        out[near] = _ml_series(alpha, z[near], rtol, config.max_terms)
+        out[near] = _ml_series(alpha, z[near], _RTOL, _MAX_TERMS)
 
     far = ~near
     if np.any(far):
         zf = z[far]
         attempt = np.abs(zf) >= min(
-            _asymptotic_attempt_radius(alpha, rtol), config.asymptotic_radius
+            _asymptotic_attempt_radius(alpha, _RTOL), _ASYMPTOTIC_RADIUS
         )
         vals = np.empty(zf.shape, dtype=complex)
         done = np.zeros(zf.shape, dtype=bool)
         if np.any(attempt):
-            av, ok = _ml_asymptotic(alpha, zf[attempt], rtol)
+            av, ok = _ml_asymptotic(alpha, zf[attempt], _RTOL)
             idx = np.flatnonzero(attempt)
             vals[idx[ok]] = av[ok]
             done[idx[ok]] = True
@@ -274,18 +197,12 @@ def _ml_eval_core(alpha, z, config):
             zr = zf[rest]
             theta_p = np.angle(zr) / alpha
             on_sheet = np.abs(np.angle(zr)) < alpha * np.pi
+            first = (~on_sheet) | (
+                np.abs(np.abs(theta_p) - _RAY_ANGLES[0]) >= 2 * _MIN_POLE_RAY_GAP)
             rvals = np.empty(zr.shape, dtype=complex)
-            handled = np.zeros(zr.shape, dtype=bool)
-            for phi0 in _PHI0_CANDIDATES:
-                gap = np.abs(np.abs(theta_p) - phi0)
-                take = (~handled) & ((~on_sheet) | (gap >= 2 * _MIN_POLE_RAY_GAP))
+            for phi0, take in zip(_RAY_ANGLES, (first, ~first)):
                 if np.any(take):
                     rvals[take] = _ml_contour_batch(alpha, zr[take], phi0)
-                    handled |= take
-                if np.all(handled):
-                    break
-            for i in np.flatnonzero(~handled):
-                rvals[i] = _ml_contour_scalar(alpha, zr[i], rtol)
             vals[rest] = rvals
         fvals = out[far]
         fvals[:] = vals
@@ -293,7 +210,7 @@ def _ml_eval_core(alpha, z, config):
     return out
 
 
-def mittag_leffler(alpha, z, config=None):
+def mittag_leffler(alpha, z):
     """Evaluate the Mittag-Leffler function E_alpha(z) for complex z.
 
     Parameters
@@ -303,8 +220,6 @@ def mittag_leffler(alpha, z, config=None):
         E_a(z) = (E_{a/2}(sqrt(z)) + E_{a/2}(-sqrt(z))) / 2.
     z : complex or array_like of complex
         Finite argument(s).
-    config : MLEvalConfig, optional
-        Region boundaries and tolerances.
 
     Returns
     -------
@@ -318,7 +233,6 @@ def mittag_leffler(alpha, z, config=None):
     ConvergenceError
         If an internal series exceeds its term budget.
     """
-    config = config or _DEFAULT_CONFIG
     if not np.isfinite(alpha) or not (0.0 < alpha <= 2.0):
         raise DomainError(f"order alpha must be in (0, 2], got {alpha}")
     z_arr = np.asarray(z, dtype=complex)
@@ -330,22 +244,22 @@ def mittag_leffler(alpha, z, config=None):
     if alpha > 1.0:
         w = np.sqrt(z_flat)
         half = 0.5 * (
-            _ml_dispatch(alpha / 2.0, w, config) + _ml_dispatch(alpha / 2.0, -w, config)
+            _ml_dispatch(alpha / 2.0, w) + _ml_dispatch(alpha / 2.0, -w)
         )
         out = half
     else:
-        out = _ml_dispatch(alpha, z_flat, config)
+        out = _ml_dispatch(alpha, z_flat)
 
     out = out.reshape(z_arr.shape) if not scalar else out[0]
     return complex(out) if scalar else out
 
 
-def _ml_dispatch(alpha, z_flat, config):
+def _ml_dispatch(alpha, z_flat):
     out = np.empty(z_flat.shape, dtype=complex)
     zero = z_flat == 0
     out[zero] = 1.0
     if np.any(~zero):
-        out[~zero] = _ml_eval_core(alpha, z_flat[~zero], config)
+        out[~zero] = _ml_eval_core(alpha, z_flat[~zero])
     return out
 
 
@@ -501,18 +415,6 @@ def _stable_tail_series(alpha, t, rtol=1e-12, max_terms=700):
     return float(total + comp) / np.pi, False
 
 
-def _stable_small_t_log(alpha, t):
-    """log of the saddle-point form of f_alpha as t -> 0+."""
-    b = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
-    amp = alpha ** (1.0 / (2.0 * (1.0 - alpha))) / np.sqrt(2.0 * np.pi * (1.0 - alpha))
-    power = -(2.0 - alpha) / (2.0 * (1.0 - alpha))
-    with np.errstate(over="ignore"):
-        decay = b * t ** (-alpha / (1.0 - alpha))
-    if not np.isfinite(decay):
-        return -np.inf
-    return np.log(amp) + power * np.log(t) - decay
-
-
 def _stable_zolotarev(alpha, t):
     """Positive-integrand angular representation of the stable density.
 
@@ -574,9 +476,9 @@ def stable_density(alpha, t):
     For ``alpha = 1/2`` the elementary closed form applies.  Otherwise the
     value is taken from the first of these routes that certifies itself:
     the convergent reciprocal-power series, a 32-node fixed-Talbot contour
-    inversion (valid while the contour exponent stays bounded), and the
-    saddle-point small-argument form in the regime where the density is
-    below any quadrature-relevant size.
+    inversion (valid while the contour exponent stays bounded), and
+    Zolotarev's positive-integrand angular integral, which has no
+    cancellation and serves whatever the first two leave.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"stable density requires alpha in (0, 1), got {alpha}")
@@ -610,7 +512,7 @@ def _m_wright_from_kernel(nu, x):
     return stable_density(nu, t) * t ** (nu + 1.0) / nu
 
 
-def m_wright(nu, x, config=None):
+def m_wright(nu, x):
     """M-Wright function M_nu(x) for nu in (0,1) and x >= 0.
 
     The defining alternating series is used while it retains significant
@@ -620,7 +522,6 @@ def m_wright(nu, x, config=None):
     stretched-exponential tail return 0 once the decay bound falls below
     1e-300.
     """
-    config = config or _DEFAULT_CONFIG
     if not (0.0 < nu < 1.0):
         raise DomainError(f"order nu must be in (0, 1), got {nu}")
     x_arr = np.asarray(x, dtype=float)
@@ -641,7 +542,7 @@ def m_wright(nu, x, config=None):
         if xi > _MW_SERIES_XMAX:
             out[i] = _m_wright_from_kernel(nu, xi)
             continue
-        val, loss = _m_wright_series(nu, xi, config.target_rel_tol, config.max_terms)
+        val, loss = _m_wright_series(nu, xi, _RTOL, _MAX_TERMS)
         if loss:
             if xi == 0.0:
                 raise ConvergenceError("M-Wright series failed at x=0", region="series")

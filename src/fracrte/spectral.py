@@ -112,20 +112,26 @@ def h_coeff(l, params):
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """Tridiagonal moment-coupling operator at one wavenumber."""
+    """Tridiagonal moment-coupling operator, stacked over wavenumbers.
+
+    ``entries`` has shape ``np.shape(k) + (N+1, N+1)``; a scalar ``k``
+    gives one matrix.
+    """
 
     N: int
-    k: float
+    k: float | np.ndarray
     entries: np.ndarray
     h: np.ndarray
 
     @property
     def norm(self):
-        return float(np.linalg.norm(self.entries, ord=np.inf))
+        """Infinity norm (maximum absolute row sum) of each matrix."""
+        norm = np.abs(self.entries).sum(axis=-1).max(axis=-1)
+        return float(norm) if norm.ndim == 0 else norm
 
 
 def assemble_operator(k, params, N):
-    """Build the (N+1) x (N+1) operator for wavenumber k.
+    """Build the (N+1) x (N+1) operator for wavenumber k (scalar or array).
 
     Off-diagonal streaming couplings are i v k l / sqrt(4 l^2 - 1); the
     diagonal holds sigma_t h_l / (2l + 1).  The matrix equals its own
@@ -135,33 +141,38 @@ def assemble_operator(k, params, N):
         raise ConfigurationError(
             f"truncation N={N} below kernel degree L={params.phase.degree}"
         )
+    k_arr = np.asarray(k, dtype=float)
     ls = np.arange(N + 1)
     h = np.array([h_coeff(int(l), params) for l in ls])
     diag = params.sigma_t * h / (2 * ls + 1)
-    couple = 1j * params.v * k * ls[1:] / np.sqrt(4.0 * ls[1:] ** 2 - 1.0)
-    A = np.diag(diag.astype(complex))
-    A[ls[1:], ls[1:] - 1] = couple
-    A[ls[1:] - 1, ls[1:]] = couple
-    return SpectralOperator(N=N, k=float(k), entries=A, h=h)
+    couple = 1j * params.v * k_arr[..., None] * ls[1:] / np.sqrt(4.0 * ls[1:] ** 2 - 1.0)
+    A = np.zeros(k_arr.shape + (N + 1, N + 1), dtype=complex)
+    A[..., ls, ls] = diag
+    A[..., ls[1:], ls[1:] - 1] = couple
+    A[..., ls[1:] - 1, ls[1:]] = couple
+    return SpectralOperator(N=N, k=float(k_arr) if k_arr.ndim == 0 else k_arr,
+                            entries=A, h=h)
 
 
 @dataclass(frozen=True)
 class ModeDecomposition:
-    """Eigensystem of one SpectralOperator.
+    """Eigensystem of a SpectralOperator, stacked like its wavenumbers.
 
     ``right_vectors`` holds eigenvectors as columns of Q and
     ``left_vectors`` the rows of Q^{-1} (true left eigenvectors, no
     conjugation).  ``defective_flag`` marks eigenvalue coalescence, where
-    Q is numerically singular and the expansion must not be used.
+    Q is numerically singular and the expansion must not be used; the
+    left vectors of a flagged matrix are NaN.  A scalar wavenumber gives
+    float and bool fields, an array one arrays of its shape.
     """
 
-    k: float
+    k: float | np.ndarray
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    condition_estimate: float
-    defective_flag: bool
-    operator_norm: float = field(default=0.0)
+    condition_estimate: float | np.ndarray
+    defective_flag: bool | np.ndarray
+    operator_norm: float | np.ndarray = field(default=0.0)
 
 
 def defective_mask(lam, cond, norm):
@@ -179,35 +190,39 @@ def defective_mask(lam, cond, norm):
 def decompose(op):
     """Full eigendecomposition of the operator with left eigenvectors.
 
-    A point is defective only when eigenvalues coalesce AND the
-    eigenvector basis degenerates; repeated eigenvalues of the diagonal
-    k = 0 operator keep independent eigenvectors and are fine.
+    One eigensolver call covers every stacked wavenumber.  A matrix is
+    defective only when eigenvalues coalesce AND the eigenvector basis
+    degenerates; repeated eigenvalues of the diagonal k = 0 operator keep
+    independent eigenvectors and are fine.
     """
-    A = op.entries
     try:
-        lam, Q = np.linalg.eig(A)
+        lam, Q = np.linalg.eig(op.entries)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigensolver failed at k={op.k}", k=op.k) from exc
-    norm = op.norm if op.norm > 0 else 1.0
-    cond = float(np.linalg.cond(Q))
-    defective = bool(defective_mask(lam, cond, norm))
-    if defective:
-        cond = np.inf
-        Qinv = np.full_like(Q, np.nan)
-    else:
+    norm = op.norm
+    norm = np.where(norm > 0, norm, 1.0)
+    cond = np.linalg.cond(Q)
+    defective = defective_mask(lam, cond, norm)
+    if not defective.any():
         Qinv = np.linalg.inv(Q)
+    else:
+        cond = np.where(defective, np.inf, cond)
+        Qinv = np.full_like(Q, np.nan)
+        if not defective.all():
+            Qinv[~defective] = np.linalg.inv(Q[~defective])
+    scalar = defective.ndim == 0
     return ModeDecomposition(
         k=op.k,
         eigenvalues=lam,
         right_vectors=Q,
         left_vectors=Qinv,
-        condition_estimate=cond,
-        defective_flag=bool(defective),
-        operator_norm=norm,
+        condition_estimate=float(cond) if scalar else cond,
+        defective_flag=bool(defective) if scalar else defective,
+        operator_norm=float(norm) if scalar else norm,
     )
 
 
-def ml_matrix_action(dec, t, alpha, c0, ml_config=None):
+def ml_matrix_action(dec, t, alpha, c0):
     """Apply E_alpha(-A t^alpha) to a moment vector via the eigensystem.
 
     Uses the left eigenvectors (rows of Q^{-1}), not Hermitian conjugates;
@@ -222,11 +237,11 @@ def ml_matrix_action(dec, t, alpha, c0, ml_config=None):
     if t < 0:
         raise DomainError("time t must be >= 0")
     c0 = np.asarray(c0, dtype=complex)
-    ml = mittag_leffler(alpha, -dec.eigenvalues * t**alpha, config=ml_config)
+    ml = mittag_leffler(alpha, -dec.eigenvalues * t**alpha)
     return dec.right_vectors @ (ml * (dec.left_vectors @ c0))
 
 
-def hermitian_matrix_action(dec, t, alpha, c0, ml_config=None):
+def hermitian_matrix_action(dec, t, alpha, c0):
     """Evolution using Hermitian-conjugate eigenvector weights.
 
     Expands with projectors q_n q_n^H / (q_n^H q_n); exact only for normal
@@ -240,7 +255,7 @@ def hermitian_matrix_action(dec, t, alpha, c0, ml_config=None):
         )
     c0 = np.asarray(c0, dtype=complex)
     Q = dec.right_vectors
-    ml = mittag_leffler(alpha, -dec.eigenvalues * t**alpha, config=ml_config)
+    ml = mittag_leffler(alpha, -dec.eigenvalues * t**alpha)
     coeffs = (Q.conj().T @ c0) / np.einsum("in,in->n", Q.conj(), Q)
     return Q @ (ml * coeffs)
 
@@ -253,8 +268,8 @@ def hermitian_mode_weights(dec, component=0):
     carrying the larger weight) and 1/2 above it; they sum to one there.
     """
     Q = dec.right_vectors
-    norms = np.einsum("in,in->n", Q.conj(), Q).real
-    return np.abs(Q[component, :]) ** 2 / norms
+    norms = np.einsum("...in,...in->...n", Q.conj(), Q).real
+    return np.abs(Q[..., component, :]) ** 2 / norms
 
 
 def exact_mode_weights(dec, component=0):
@@ -263,6 +278,6 @@ def exact_mode_weights(dec, component=0):
     These are complex in general, sum to one, and reduce to
     -(1-s)/(2s) and (1+s)/(2s) for the two-moment benchmark operator.
     """
-    if dec.defective_flag:
+    if np.any(dec.defective_flag):
         raise DefectiveOperatorError("defective operator has no eigenvector expansion", k=dec.k)
-    return dec.right_vectors[component, :] * dec.left_vectors[:, component]
+    return dec.right_vectors[..., component, :] * dec.left_vectors[..., :, component]

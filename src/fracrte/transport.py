@@ -13,7 +13,7 @@ subtracted and its exact transform added back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .spectral import (
     assemble_operator,
     critical_wavenumber,
     decompose,
-    defective_mask,
+    exact_mode_weights,
     hermitian_matrix_action,
+    hermitian_mode_weights,
     ml_matrix_action,
 )
 
@@ -121,20 +122,33 @@ def initial_coefficients(mu0, N):
     return CoefficientVector(k=0.0, t=0.0, mu0=float(mu0), c=c)
 
 
-def _decompose_displaced(k, params, N, scale=None):
-    """Eigendecomposition with automatic displacement off defective points."""
-    scale = scale or max(critical_wavenumber(params), 1.0)
-    shift = 1e-7 * scale
-    k_try = k
-    for attempt in range(6):
-        dec = decompose(assemble_operator(k_try, params, N))
-        if not dec.defective_flag:
+def _decompose_displaced(k, params, N):
+    """Eigendecomposition at k (scalar or array), displaced off defective points.
+
+    Flagged wavenumbers are re-decomposed at k + 1e-7 max(k_c, 1) * attempt
+    for up to five attempts, a shift invisible at quadrature accuracy.
+    """
+    shift = 1e-7 * max(critical_wavenumber(params), 1.0)
+    k = np.asarray(k, dtype=float)
+    dec = decompose(assemble_operator(k, params, N))
+    for attempt in range(1, 6):
+        bad = dec.defective_flag
+        if not np.any(bad):
             return dec
-        k_try = k + shift * (attempt + 1)
-    raise QuadratureError(f"could not displace off defective point near k={k}")
+        if k.ndim == 0:
+            dec = decompose(assemble_operator(k + shift * attempt, params, N))
+            continue
+        redo = decompose(assemble_operator(k[bad] + shift * attempt, params, N))
+        parts = {f.name: np.array(getattr(dec, f.name)) for f in fields(dec)}
+        for name, part in parts.items():
+            part[bad] = getattr(redo, name)
+        dec = type(dec)(**parts)
+    if np.any(dec.defective_flag):
+        raise QuadratureError(f"could not displace off defective point near k={k}")
+    return dec
 
 
-def evolve_coefficients(k, t, mu0, N, params, mode="exact", ml_config=None):
+def evolve_coefficients(k, t, mu0, N, params, mode="exact"):
     """Moment vector at time t for one wavenumber.
 
     ``mode="exact"`` applies the true matrix Mittag-Leffler function via
@@ -150,7 +164,7 @@ def evolve_coefficients(k, t, mu0, N, params, mode="exact", ml_config=None):
         return CoefficientVector(k=float(k), t=0.0, mu0=float(mu0), c=c0)
     dec = _decompose_displaced(k, params, N)
     action = ml_matrix_action if mode == "exact" else hermitian_matrix_action
-    c = action(dec, t, params.alpha, c0, ml_config=ml_config)
+    c = action(dec, t, params.alpha, c0)
     return CoefficientVector(k=float(k), t=float(t), mu0=float(mu0), c=c)
 
 
@@ -415,27 +429,10 @@ def _monotone_path(integrand, x, spec, k_max, k_scale):
 
 
 def _mode_weights_batch(k_nodes, params, N, mode):
-    """Eigenvalues and component-0 weights at many wavenumbers.
-
-    Batched eigendecomposition; nodes flagged defective by the same test as
-    :func:`decompose` are displaced by 1e-7 k_c, which is invisible at
-    quadrature accuracy.
-    """
-    kc_scale = max(critical_wavenumber(params), 1.0)
-    ks = np.array(k_nodes, dtype=float)
-    mats = np.stack([assemble_operator(k, params, N).entries for k in ks])
-    lam, Q = np.linalg.eig(mats)
-    norms = np.max(np.sum(np.abs(mats), axis=2), axis=1)
-    for i in np.flatnonzero(defective_mask(lam, np.linalg.cond(Q), norms)):
-        dec = _decompose_displaced(ks[i], params, N, scale=kc_scale)
-        lam[i] = dec.eigenvalues
-        Q[i] = dec.right_vectors
-    if mode == "exact":
-        Qinv = np.linalg.inv(Q)
-        w = Q[:, 0, :] * Qinv[:, :, 0]
-    else:
-        w = np.abs(Q[:, 0, :]) ** 2 / np.einsum("kin,kin->kn", Q.conj(), Q).real
-    return lam, w
+    """Eigenvalues and component-0 weights at many wavenumbers."""
+    dec = _decompose_displaced(k_nodes, params, N)
+    weights = exact_mode_weights if mode == "exact" else hermitian_mode_weights
+    return dec.eigenvalues, weights(dec)
 
 
 def _tail_model_for(params, t, x_any_sign=True):
@@ -546,7 +543,7 @@ def _modal_density(x_abs, times, params, N, mode, spec, factors, mollifier_width
 
 
 def energy_density(x_grid, times, params, N, mode="hermitian", spec=None,
-                   ml_config=None, mollifier_width=None):
+                   mollifier_width=None):
     """Energy density U(x, t; N) for an isotropic unit pulse at the origin.
 
     The transformed density is real and even in k, so only the cosine part
@@ -581,8 +578,7 @@ def energy_density(x_grid, times, params, N, mode="hermitian", spec=None,
         raise DomainError("times must be positive")
 
     def factors(lam, t):
-        return mittag_leffler(params.alpha, -(lam.ravel()) * t**params.alpha,
-                              config=ml_config).reshape(lam.shape)
+        return mittag_leffler(params.alpha, -(lam.ravel()) * t**params.alpha).reshape(lam.shape)
 
     values = _modal_density(np.abs(x_grid), times, params, N, mode,
                             spec or QuadratureSpec(), factors, mollifier_width)
@@ -620,7 +616,7 @@ def _reduce_panels(u_hat_panels, nodes, weights, x, n_seg_a, edges, spec,
     return value / np.pi  # even integrand: (1/2pi) * 2
 
 
-def _closed_p1_integrand(k, t, params, ml_config=None):
+def _closed_p1_integrand(k, t, params):
     """Two-branch transformed energy density of the two-moment system.
 
     Below the critical wavenumber the two real relaxation modes enter
@@ -636,17 +632,17 @@ def _closed_p1_integrand(k, t, params, ml_config=None):
         kb = k[below]
         s = np.sqrt(np.maximum(1.0 - (kb / k_c) ** 2, 0.0))
         root = np.sqrt(np.maximum(k_c**2 - kb**2, 0.0))
-        ep = mittag_leffler(alpha, -(k_c + root) / np.sqrt(3.0) * t**alpha, config=ml_config).real
-        em = mittag_leffler(alpha, -(k_c - root) / np.sqrt(3.0) * t**alpha, config=ml_config).real
+        ep = mittag_leffler(alpha, -(k_c + root) / np.sqrt(3.0) * t**alpha).real
+        em = mittag_leffler(alpha, -(k_c - root) / np.sqrt(3.0) * t**alpha).real
         out[below] = 0.5 * ((1.0 - s) * ep + (1.0 + s) * em)
     if np.any(~below):
         ka = k[~below]
         lam = (k_c - 1j * np.sqrt(ka**2 - k_c**2)) / np.sqrt(3.0)
-        out[~below] = mittag_leffler(alpha, -lam * t**alpha, config=ml_config).real
+        out[~below] = mittag_leffler(alpha, -lam * t**alpha).real
     return out
 
 
-def energy_density_closed_p1(x, t, params, spec=None, ml_config=None):
+def energy_density_closed_p1(x, t, params, spec=None):
     """Closed-form two-moment energy density at one position.
 
     Evaluates the literal two-branch integrand (no eigensolver) on the
@@ -660,13 +656,12 @@ def energy_density_closed_p1(x, t, params, spec=None, ml_config=None):
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     x_abs = np.abs(x_arr)
     layout = _EnergyLayout.for_positions(params, spec, x_abs)
-    u_hat = _closed_p1_integrand(layout.flat_nodes, t, params, ml_config=ml_config)
+    u_hat = _closed_p1_integrand(layout.flat_nodes, t, params)
     vals = layout.reduce(u_hat, x_abs, t)
     return float(vals[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
 
 
-def ballistic_density(x, mu, mu0, t, params, spec=None, mollifier_width=0.01,
-                      ml_config=None):
+def ballistic_density(x, mu, mu0, t, params, spec=None, mollifier_width=0.01):
     """Unscattered density coefficient at (x, t) for direction mu = mu0.
 
     The ballistic part is a delta sheet in direction; this returns the
@@ -685,7 +680,7 @@ def ballistic_density(x, mu, mu0, t, params, spec=None, mollifier_width=0.01,
     def f(k):
         k = np.asarray(k, dtype=float)
         z = -(1j * k * v * mu0 + sig_t) * t**alpha
-        return mittag_leffler(alpha, z, config=ml_config) * np.exp(-0.5 * (k * eps) ** 2)
+        return mittag_leffler(alpha, z) * np.exp(-0.5 * (k * eps) ** 2)
 
     spec = spec or QuadratureSpec(tail_mode="none")
     if spec.tail_mode != "none":
@@ -720,7 +715,7 @@ def _truncation_closure(k, mu0, params, N):
     )
 
 
-def scattered_coefficients(k, t, mu0, N, params, mode="exact", ml_config=None,
+def scattered_coefficients(k, t, mu0, N, params, mode="exact",
                            include_truncation_closure=True):
     """Moments of the collided (scattered) part of the density.
 
@@ -743,8 +738,8 @@ def scattered_coefficients(k, t, mu0, N, params, mode="exact", ml_config=None,
         b[N] += _truncation_closure(k, mu0, params, N)
     dec = _decompose_displaced(k, params, N)
     action = ml_matrix_action if mode == "exact" else hermitian_matrix_action
-    ml_b = action(dec, t, params.alpha, b, ml_config=ml_config)
-    scalar_ml = mittag_leffler(params.alpha, -zeta * t**params.alpha, config=ml_config)
+    ml_b = action(dec, t, params.alpha, b)
+    scalar_ml = mittag_leffler(params.alpha, -zeta * t**params.alpha)
     rhs = ml_b - scalar_ml * b
     A = assemble_operator(k, params, N).entries
     shifted = zeta * np.eye(N + 1) - A
@@ -758,9 +753,9 @@ def scattered_coefficients(k, t, mu0, N, params, mode="exact", ml_config=None,
     return CoefficientVector(k=float(k), t=float(t), mu0=float(mu0), c=c)
 
 
-def ballistic_coefficients(k, t, mu0, N, params, ml_config=None):
+def ballistic_coefficients(k, t, mu0, N, params):
     """Moments of the unscattered part: the projected, attenuated pulse."""
     c0 = initial_coefficients(mu0, N).c
     zeta = 1j * k * params.v * mu0 + params.sigma_t
-    atten = mittag_leffler(params.alpha, -zeta * t**params.alpha, config=ml_config)
+    atten = mittag_leffler(params.alpha, -zeta * t**params.alpha)
     return CoefficientVector(k=float(k), t=float(t), mu0=float(mu0), c=c0 * atten)

@@ -127,6 +127,15 @@ def test_invalid_physical_input_is_usage_error(argv, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # the Mittag-Leffler series exhausts its term budget at this tiny order
+    argv = ["diffusion", "--alpha", "0.02", "--sigma-a", "1", "--n-x", "5"]
+    assert main(argv + ["--output-path", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.slow
 def test_subordinate_subcommand_matches_direct(tmp_path):
     # the subordinated CSV is a genuine density: positive near the source

@@ -134,6 +134,16 @@ class TestStep:
 
 
 class TestSimulateDensity:
+    @pytest.mark.parametrize("grid", [
+        [0.0],
+        [-1.0, -0.5, 0.0, 0.1, 1.0],
+        [1.0, 0.0, -1.0],
+        [0.5, 0.5],
+    ])
+    def test_grid_must_be_uniform(self, medium, grid):
+        with pytest.raises(DomainError):
+            simulate_density(10, [1e-3], grid, medium, 1e-4, seed=0)
+
     def test_seed_determinism(self, medium):
         xg = np.linspace(-2, 2, 41)
         a = simulate_density(30_000, [0.05], xg, medium, 1e-4, 7)

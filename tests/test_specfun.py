@@ -7,7 +7,6 @@ from scipy.special import erfc, wofz
 
 from fracrte.errors import DomainError
 from fracrte.specfun import (
-    MLEvalConfig,
     f_alpha_half,
     m_wright,
     mittag_leffler,
@@ -82,12 +81,6 @@ class TestMittagLeffler:
             mittag_leffler(0.0, 1.0)
         with pytest.raises(DomainError):
             mittag_leffler(2.5, 1.0)
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            MLEvalConfig(series_cutoff_radius=20.0, asymptotic_radius=10.0)
-        with pytest.raises(DomainError):
-            MLEvalConfig(target_rel_tol=1e-3)
 
     def test_array_shape_round_trip(self):
         z = np.array([[0.1, -0.5], [1.0 + 1.0j, -3.0]])

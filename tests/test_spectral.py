@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fracrte.errors import ConfigurationError, DefectiveOperatorError, DomainError
@@ -18,6 +20,7 @@ from fracrte.spectral import (
     ml_matrix_action,
     section5_medium,
 )
+from fracrte.transport import _mode_weights_batch
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +137,43 @@ class TestDecomposition:
         for k in np.linspace(0.0, 10.0, 40):
             dec = decompose(assemble_operator(float(k), medium, 7))
             assert np.min(dec.eigenvalues.real) > -1e-12
+
+
+class TestBatchedDecomposition:
+    @given(
+        extra=st.lists(st.floats(0.0, 50.0), min_size=0, max_size=12),
+        N=st.integers(1, 8),
+    )
+    def test_batch_equals_per_wavenumber(self, extra, N):
+        m = section5_medium(alpha=0.5)
+        ks = np.array([0.0, critical_wavenumber(m)] + extra)
+        dec = decompose(assemble_operator(ks, m, N))
+        for i, k in enumerate(ks):
+            one = decompose(assemble_operator(k, m, N))
+            assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(dec.right_vectors[i], one.right_vectors)
+            assert dec.defective_flag[i] == one.defective_flag
+            if not one.defective_flag:
+                assert np.array_equal(dec.left_vectors[i], one.left_vectors)
+
+    def test_scalar_fields_stay_scalar(self, medium):
+        dec = decompose(assemble_operator(1.0, medium, 3))
+        assert isinstance(dec.k, float)
+        assert isinstance(dec.condition_estimate, float)
+        assert isinstance(dec.defective_flag, bool)
+        assert isinstance(dec.operator_norm, float)
+
+    @pytest.mark.parametrize("mode", ["exact", "hermitian"])
+    def test_mode_weights_displace_critical_node(self, medium, k_c, mode):
+        # a node exactly at the coalescence point takes the decomposition of
+        # the first displaced wavenumber
+        lam, w = _mode_weights_batch(np.array([0.5 * k_c, k_c, 2.0 * k_c]), medium, 1, mode)
+        assert np.all(np.isfinite(lam)) and np.all(np.isfinite(w))
+        dec = decompose(assemble_operator(k_c + 1e-7 * max(k_c, 1.0), medium, 1))
+        assert not dec.defective_flag
+        weights = exact_mode_weights if mode == "exact" else hermitian_mode_weights
+        assert np.array_equal(lam[1], dec.eigenvalues)
+        assert np.array_equal(w[1], weights(dec))
 
 
 class TestMatrixAction:
