@@ -214,7 +214,7 @@ def _run_diffusion(config, out_dir):
     if dp.sigma_a == 0.0:
         values = [diffusion_density_mwright(xs, t, dp) for t in config.times]
     else:
-        values = [[diffusion_density_quadrature(x, t, dp) for x in xs] for t in config.times]
+        values = [diffusion_density_quadrature(xs, t, dp) for t in config.times]
     return _write_per_time(out_dir, "diffusion", config, xs, values, "diffusion", config.mode)
 
 
@@ -308,7 +308,7 @@ def _run_validate(config):
         t = config.times[0]
         xs = np.linspace(0, 2, 9)
         mw = diffusion_density_mwright(xs, t, dp)
-        qd = np.array([diffusion_density_quadrature(xv, t, dp) for xv in xs])
+        qd = diffusion_density_quadrature(xs, t, dp)
         checks.append(("diffusion quadrature matches closed form",
                        float(np.max(np.abs(mw - qd) / (1 + np.abs(mw)))) < 1e-6))
 

@@ -10,7 +10,7 @@ profile.  Both are normalized to unit mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,12 +68,14 @@ def diffusion_density_quadrature(x, t, dp, spec=None):
     """Fundamental diffusion solution by cosine-transform quadrature.
 
     Evaluates (1/pi) * integral_0^inf cos(kx) E_alpha(-(D0 k^2 + sigma_a)
-    t^alpha) dk.  Even in x; unit mass when sigma_a = 0.
+    t^alpha) dk.  Even in x; unit mass when sigma_a = 0.  ``x`` may be a
+    scalar (returns a float) or an array (returns an array of its shape);
+    one panel layout serves all positions of one call.
     """
     if t <= 0:
         raise DomainError("t must be positive")
     alpha, D0, sig_a = dp.alpha, dp.D0, dp.sigma_a
-    spec = spec or QuadratureSpec(tail_mode="none")
+    spec = spec or QuadratureSpec()
 
     def f(k):
         k = np.asarray(k, dtype=float)
@@ -83,13 +85,8 @@ def diffusion_density_quadrature(x, t, dp, spec=None):
     if spec.k_max is None:
         # the integrand's algebraic 1/k^2 tail converges the extrapolated
         # inversion like k_max^-2.5; 800 floors the error near 1e-10
-        spec = QuadratureSpec(
-            k_max=max(60.0 * k_scale, 800.0),
-            nodes_per_halfperiod=spec.nodes_per_halfperiod,
-            acceleration_order=spec.acceleration_order,
-            tail_mode="none",
-        )
-    return fourier_inversion(f, float(x), spec=spec, k_c=k_scale)
+        spec = replace(spec, k_max=max(60.0 * k_scale, 800.0))
+    return fourier_inversion(f, x, spec=spec, k_c=k_scale)
 
 
 def diffusion_density_mwright(x, t, dp):

@@ -253,6 +253,8 @@ def hermitian_matrix_action(dec, t, alpha, c0):
             f"defective operator at k={dec.k}; displace the wavenumber",
             k=dec.k,
         )
+    if t < 0:
+        raise DomainError("time t must be >= 0")
     c0 = np.asarray(c0, dtype=complex)
     Q = dec.right_vectors
     ml = mittag_leffler(alpha, -dec.eigenvalues * t**alpha)

@@ -4,16 +4,18 @@ The Fourier-transformed moment vector evolves mode-by-mode under the
 matrix Mittag-Leffler function; real-space densities come from the
 half-line cosine/sine inversion.  The integrands decay only algebraically
 (like 1/k^2 after direction integration), so plain truncation is useless:
-the machinery here splits the half-line into panels, integrates each with
-Gauss rules, and accelerates the partial-sum sequence (Wynn's epsilon
-where the phase oscillates, reciprocal-wavenumber extrapolation near
-x = 0).  Optionally the known large-k limit of the integrand is
-subtracted and its exact transform added back.
+one panel layout splits the half-line, integrates each panel with Gauss
+rules, and accelerates the partial-sum sequence (Wynn's epsilon where the
+phase oscillates, reciprocal-wavenumber extrapolation near x = 0).  Every
+density here (energy, closed two-moment, ballistic) and the diffusion
+limit reach that one reduction.  For energy densities the known large-k
+limit of the integrand is optionally subtracted and its exact transform
+added back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +36,6 @@ __all__ = [
     "QuadratureSpec",
     "CoefficientVector",
     "DensityField",
-    "TailModel",
     "initial_coefficients",
     "evolve_coefficients",
     "fourier_inversion",
@@ -52,8 +53,11 @@ MODES = ("exact", "hermitian")
 class QuadratureSpec:
     """Controls for the half-line oscillatory quadrature.
 
-    ``k_max`` of None lets each call pick max(40/x_min, 50*k_c).
-    ``tail_mode`` chooses how content beyond the integrated range is
+    ``k_max`` of None lets each call pick
+    min(max(40/max(x_min, 1e-2), 50*k_c, 300), 5e3), where x_min is the
+    smallest nonzero |x| requested (1 when there is none) and k_c the
+    wavenumber scale of the integrand.  ``tail_mode`` affects energy
+    densities only and chooses how content beyond the integrated range is
     handled: ``"none"`` relies on acceleration alone,
     ``"asymptotic_subtraction"`` removes the known large-k form of the
     integrand and restores its exact transform.
@@ -278,87 +282,20 @@ def _gauss_panels(edges, n_nodes):
     return nodes, weights
 
 
-def _panel_sums(f_vals, nodes, weights, x):
-    """Per-panel integrals of cos(kx) Re f - sin(kx) Im f."""
-    phase_cos = np.cos(nodes * x)
-    contrib = phase_cos * f_vals.real
-    if np.iscomplexobj(f_vals):
-        contrib = contrib - np.sin(nodes * x) * f_vals.imag
-    return np.sum(weights * contrib, axis=1)
+def _layout_extent(spec, x_abs, k_c):
+    """Largest |x| and k_max of the layout serving positions ``x_abs``.
 
-
-def _effective_k_max(spec, x_scale, k_c):
-    # the 300 floor keeps the tail-fit window deep in the asymptotic
-    # regime even when every requested position is near the origin
-    if spec.k_max is not None:
-        return spec.k_max
-    x_ref = max(abs(x_scale), 1e-2)
-    return min(max(40.0 / x_ref, 50.0 * max(k_c, 1e-6), 300.0), 5e3)
-
-
-def fourier_inversion(f, x, spec=None, tail=None, k_c=1.0):
-    """Half-line Fourier inversion (1/pi) int_0^inf [cos(kx) Re f - sin(kx) Im f] dk.
-
-    The half-line is split at the zeros of cos(kx) (fixed panels when x is
-    too small for oscillation to matter), each panel integrated by Gauss
-    quadrature, and the partial sums accelerated: Wynn's epsilon algorithm
-    in the oscillatory regime, reciprocal-wavenumber polynomial
-    extrapolation in the monotone one.
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand of a wavenumber array; may return complex.
-    x : float
-        Evaluation position.
-    spec : QuadratureSpec, optional
-    tail : TailModel, optional
-        Large-k model subtracted from f with its transform added back.
-    k_c : float
-        Scale used when the spec leaves k_max automatic.
-
-    Raises
-    ------
-    QuadratureError
-        If the accelerated estimates fail to settle.
+    Unless the spec fixes k_max, the smallest nonzero |x| sets it; the 300
+    floor keeps the tail-fit window deep in the asymptotic regime even
+    when every requested position is near the origin.
     """
-    spec = spec or QuadratureSpec()
-    k_max = _effective_k_max(spec, x, k_c)
-
-    def base(k):
-        vals = np.asarray(f(k))
-        if tail is not None:
-            vals = vals - tail.integrand(k)
-        return vals
-
-    # fit and remove the residual algebraic tail; its transform is exact
-    q = max(k_c, 0.5)
-    k_top = np.linspace(0.6 * k_max, k_max, 33)
-    a_alg = _fit_algebraic_tail(k_top, base(k_top), q)
-
-    def integrand(k):
-        return base(k) - a_alg / (np.asarray(k) ** 2 + q**2)
-
-    # the reciprocal-wavenumber extrapolation of the monotone path only
-    # holds while the cosine barely turns; past ~2 rad of total phase,
-    # extend the range until epsilon acceleration has oscillations to work
-    # with
-    total_phase = abs(x) * k_max
-    if total_phase <= 2.0:
-        value = _monotone_path(integrand, x, spec, k_max, k_c)
-    else:
-        k_osc = max(k_max, 6.0 * np.pi / abs(x))
-        value = _oscillatory_path(integrand, x, spec, k_osc, k_c)
-    value += a_alg * np.exp(-q * abs(x)) / (2.0 * q)
-    if tail is not None:
-        value += tail.transform(x)
-    return value
-
-
-def _refined_first_edges(first_zero, k_scale):
-    """Subdivide [0, first cos zero] so structure at scale k_scale resolves."""
-    n_sub = int(np.clip(np.ceil(first_zero / (max(k_scale, 1e-12) / 6.0)), 4, 64))
-    return first_zero * np.linspace(0.0, 1.0, n_sub + 1)
+    nonzero = x_abs[x_abs > 0]
+    x_min = float(np.min(nonzero)) if nonzero.size else 1.0
+    x_max = float(np.max(x_abs)) if x_abs.size else 1.0
+    if spec.k_max is not None:
+        return x_max, spec.k_max
+    x_ref = max(x_min, 1e-2)
+    return x_max, min(max(40.0 / x_ref, 50.0 * max(k_c, 1e-6), 300.0), 5e3)
 
 
 def _fit_algebraic_tail(k_top, r_top, q):
@@ -386,84 +323,47 @@ def _fit_algebraic_tail(k_top, r_top, q):
     return a
 
 
-def _oscillatory_path(integrand, x, spec, k_max, k_scale):
-    half = np.pi / abs(x)
-    n_panels = int(np.clip(np.ceil(k_max / half + 0.5), 28, 2 * spec.acceleration_order + 56))
-    first = _refined_first_edges(0.5 * half, k_scale)
-    edges = np.concatenate((first, 0.5 * half + half * np.arange(1, n_panels)))
-    n_first = len(first) - 1
-    nodes, weights = _gauss_panels(edges, spec.nodes_per_halfperiod)
-    f_vals = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
-    panel_vals = _panel_sums(f_vals, nodes, weights, x)
-    head = np.sum(panel_vals[:n_first])
-    sums = head + np.cumsum(panel_vals[n_first:])
-    window = 2 * spec.acceleration_order + 1
-    value, spread = _wynn_epsilon(sums[-window:] if len(sums) > window else sums)
-    scale = max(np.max(np.abs(sums)), 1e-30)
-    if not np.isfinite(value) or spread > 1e-3 * scale:
-        raise QuadratureError(
-            "oscillatory acceleration failed to settle",
-            panels=len(sums),
-            detail={"x": x, "spread": float(spread), "estimate": float(value)},
-        )
-    return value / np.pi
+def _reduce_panels(f_panels, nodes, weights, x, n_seg_a, edges, spec, complete=False):
+    """Accelerated reduction of precomputed integrand panels at one position.
+
+    Integrates cos(kx) Re f - sin(kx) Im f over the panels.  ``complete``
+    marks integrands already negligible at the range end (mollified ones);
+    their plain sum is exact and extrapolation models would only fit the
+    cutoff shape.  An epsilon table that does not settle falls back to the
+    plain sum.
+    """
+    phase = nodes * x
+    panel_vals = np.sum(weights * np.cos(phase) * f_panels.real, axis=1)
+    if np.iscomplexobj(f_panels):
+        panel_vals -= np.sum(weights * np.sin(phase) * f_panels.imag, axis=1)
+    head = np.sum(panel_vals[:n_seg_a])
+    tail_sums = head + np.cumsum(panel_vals[n_seg_a:])
+    k_edges_b = edges[n_seg_a + 1:]
+    osc_phase = abs(x) * (edges[-1] - edges[n_seg_a])
+    if complete:
+        value = tail_sums[-1]
+    elif osc_phase >= 6.0 * np.pi:
+        window = 2 * spec.acceleration_order + 1
+        value, spread = _wynn_epsilon(tail_sums[-window:] if len(tail_sums) > window else tail_sums)
+        if not np.isfinite(value) or spread > 1e-3 * max(np.max(np.abs(tail_sums)), 1e-30):
+            value = tail_sums[-1]
+    else:
+        value = _extrapolate_wide(tail_sums, k_edges_b)
+    return value / np.pi  # Hermitian integrand: (1/2pi) * 2 Re
 
 
-def _monotone_path(integrand, x, spec, k_max, k_scale):
-    # graded panels, denser where the integrand peaks near k = 0
-    n_panels = 64
-    edges = k_max * (np.linspace(0.0, 1.0, n_panels + 1)) ** 3
-    refine = _refined_first_edges(edges[1], k_scale)
-    edges = np.concatenate((refine, edges[2:]))
-    n_first = len(refine) - 1
-    nodes, weights = _gauss_panels(edges, spec.nodes_per_halfperiod)
-    f_vals = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
-    panel_vals = _panel_sums(f_vals, nodes, weights, x)
-    head = np.sum(panel_vals[:n_first])
-    sums = head + np.cumsum(panel_vals[n_first:])
-    value = _extrapolate_wide(sums, edges[n_first + 1:])
-    return value / np.pi
+class _PanelLayout:
+    """Fixed panel set on [0, k_max] shared by every evaluation position.
 
-
-# -- energy density -------------------------------------------------------
-
-
-def _mode_weights_batch(k_nodes, params, N, mode):
-    """Eigenvalues and component-0 weights at many wavenumbers."""
-    dec = _decompose_displaced(k_nodes, params, N)
-    weights = exact_mode_weights if mode == "exact" else hermitian_mode_weights
-    return dec.eigenvalues, weights(dec)
-
-
-def _tail_model_for(params, t, x_any_sign=True):
-    """Large-k integrand limit E_2a(-(vk t^a)^2 / 3) and its transform."""
-    alpha, v = params.alpha, params.v
-    if alpha >= 1.0:
-        return None
-    c = v * t**alpha / np.sqrt(3.0)
-
-    def tail_integrand(k):
-        return mittag_leffler(2.0 * alpha, -((np.asarray(k) * c) ** 2)).real
-
-    def tail_transform(x):
-        return m_wright(alpha, abs(x) / c) / (2.0 * c)
-
-    return TailModel(integrand=tail_integrand, transform=tail_transform)
-
-
-class _EnergyLayout:
-    """Fixed panel set shared by every evaluation position.
-
-    A fine segment covers [0, k_c] (eigenvalue branches kink there),
-    uniform panels continue to k_max sized so the fastest cosine still
-    resolves; per-time integrand values are reduced against any x with
-    acceleration and exact tail add-backs.
+    A fine segment covers [0, k_c] (for transport integrands the
+    eigenvalue branches kink there), uniform panels continue to k_max sized
+    so the fastest cosine still resolves; integrand values at the nodes
+    are reduced against any x with acceleration and exact tail add-backs.
     """
 
-    def __init__(self, params, spec, x_max, k_max):
-        self.params = params
+    def __init__(self, k_c, spec, x_max, k_max):
         self.spec = spec
-        k_c = min(critical_wavenumber(params), 0.5 * k_max)
+        k_c = min(k_c, 0.5 * k_max)
         # sine grading clusters edges at k_c, where the eigenvalue branches
         # meet with square-root behavior on both sides
         edges_a = k_c * np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, 13))
@@ -481,48 +381,115 @@ class _EnergyLayout:
         n_top = (len(self.edges) - 1 - self.n_seg_a) // 3 * spec.nodes_per_halfperiod
         self._top = slice(-max(n_top, 2 * spec.nodes_per_halfperiod), None)
 
-    @classmethod
-    def for_positions(cls, params, spec, x_abs):
-        """Layout for positions ``x_abs``: unless the spec fixes k_max, the
-        smallest nonzero |x| sets it; the largest |x| caps the panel width."""
-        nonzero = x_abs[x_abs > 0]
-        x_min = float(np.min(nonzero)) if nonzero.size else 1.0
-        x_max = float(np.max(x_abs)) if x_abs.size else 1.0
-        k_max = _effective_k_max(spec, x_min, critical_wavenumber(params))
-        return cls(params, spec, x_max, k_max)
+    def reduce(self, f_vals, x, tail=None, complete=False):
+        """Invert integrand values at ``flat_nodes`` onto positions ``x``.
 
-    def reduce(self, u_hat_flat, x_abs, t, mollifier_width=None):
-        """Cosine-transform precomputed integrand values onto positions."""
-        spec, params = self.spec, self.params
-        u_hat = np.asarray(u_hat_flat, dtype=float).copy()
-        if mollifier_width:
-            # mollified integrands die at k ~ 1/width; the analytic tail
-            # model describes the unmollified object and must stay off
-            u_hat *= np.exp(-0.5 * (self.flat_nodes * mollifier_width) ** 2)
-            tail = None
-        else:
-            tail = (_tail_model_for(params, t)
-                    if spec.tail_mode == "asymptotic_subtraction" else None)
+        ``f_vals`` may be complex (Hermitian integrand, signed ``x``).  A
+        ``tail`` model is subtracted and its transform added back; unless
+        the integrand is ``complete``, a fitted a/(k^2+q^2) tail is too.
+        Raises QuadratureError if a value is not finite.
+        """
         if tail is not None:
-            u_hat -= tail.integrand(self.flat_nodes)
-        complete = bool(mollifier_width) and self.k_max * mollifier_width > 5.0
-        if complete:
-            a_alg = 0.0
-        else:
-            k_top = self.flat_nodes[self._top]
-            a_alg = _fit_algebraic_tail(k_top, u_hat[self._top], self.q)
-            u_hat -= a_alg / (self.flat_nodes**2 + self.q**2)
-        panels = u_hat.reshape(self.nodes.shape)
+            f_vals = f_vals - tail.integrand(self.flat_nodes)
+        a_alg = 0.0 if complete else _fit_algebraic_tail(
+            self.flat_nodes[self._top], f_vals[self._top], self.q)
+        f_vals = f_vals - a_alg / (self.flat_nodes**2 + self.q**2)
+        panels = f_vals.reshape(self.nodes.shape)
 
         def one_x(xv):
             val = _reduce_panels(panels, self.nodes, self.weights, xv,
-                                 self.n_seg_a, self.edges, spec, complete=complete)
-            val += a_alg * np.exp(-self.q * xv) / (2.0 * self.q)
+                                 self.n_seg_a, self.edges, self.spec, complete=complete)
+            val += a_alg * np.exp(-self.q * abs(xv)) / (2.0 * self.q)
             if tail is not None:
                 val += tail.transform(xv)
             return val
 
-        return np.array([one_x(xv) for xv in x_abs])
+        values = np.array([one_x(xv) for xv in x])
+        if not np.all(np.isfinite(values)):
+            raise QuadratureError("half-line inversion gave a non-finite value",
+                                  panels=len(self.edges) - 1,
+                                  detail={"x": np.asarray(x)[~np.isfinite(values)]})
+        return values
+
+
+def fourier_inversion(f, x, spec=None, k_c=1.0):
+    """Half-line Fourier inversion (1/pi) int_0^inf [cos(kx) Re f - sin(kx) Im f] dk.
+
+    ``f`` is a vectorized integrand of a wavenumber array and may return
+    complex values.  ``x`` is a position of any sign (returns a float) or
+    an array of them (returns an array of its shape).  One panel layout
+    serves every position: the smallest nonzero |x| sets its k_max unless
+    ``spec`` fixes it, and the largest |x| its panel width.  ``f`` is
+    evaluated once at the layout's nodes and every position goes through
+    the shared accelerated reduction.  ``k_c`` is the integrand's
+    wavenumber scale: fine panels cover [0, k_c], and it enters the
+    automatic k_max.  ``spec.tail_mode`` is not read.  Raises
+    QuadratureError if a value is not finite.
+    """
+    spec = spec or QuadratureSpec()
+    x_arr = np.asarray(x, dtype=float)
+    x_flat = x_arr.ravel()
+    layout = _PanelLayout(k_c, spec, *_layout_extent(spec, np.abs(x_flat), k_c))
+    values = layout.reduce(np.asarray(f(layout.flat_nodes)), x_flat)
+    return float(values[0]) if x_arr.ndim == 0 else values.reshape(x_arr.shape)
+
+
+# -- energy density -------------------------------------------------------
+
+
+def _mode_weights_batch(k_nodes, params, N, mode):
+    """Eigenvalues and component-0 weights at many wavenumbers."""
+    dec = _decompose_displaced(k_nodes, params, N)
+    weights = exact_mode_weights if mode == "exact" else hermitian_mode_weights
+    return dec.eigenvalues, weights(dec)
+
+
+def _tail_model_for(params, t):
+    """Large-k integrand limit E_2a(-(vk t^a)^2 / 3) and its transform."""
+    alpha, v = params.alpha, params.v
+    if alpha >= 1.0:
+        return None
+    c = v * t**alpha / np.sqrt(3.0)
+
+    def tail_integrand(k):
+        return mittag_leffler(2.0 * alpha, -((np.asarray(k) * c) ** 2)).real
+
+    def tail_transform(x):
+        return m_wright(alpha, abs(x) / c) / (2.0 * c)
+
+    return TailModel(integrand=tail_integrand, transform=tail_transform)
+
+
+class _EnergyLayout(_PanelLayout):
+    """The panel layout seen from a medium.
+
+    The fine segment ends at the medium's critical wavenumber, and
+    ``reduce`` applies the energy-density policy: an optional Gaussian
+    mollifier, or else the analytic large-k tail when the spec asks for it.
+    """
+
+    def __init__(self, params, spec, x_max, k_max):
+        super().__init__(critical_wavenumber(params), spec, x_max, k_max)
+        self.params = params
+
+    @classmethod
+    def for_positions(cls, params, spec, x_abs):
+        """Layout for positions ``x_abs`` (see :func:`_layout_extent`)."""
+        return cls(params, spec, *_layout_extent(spec, x_abs, critical_wavenumber(params)))
+
+    def reduce(self, u_hat_flat, x_abs, t, mollifier_width=None):
+        """Cosine-transform precomputed integrand values onto positions."""
+        u_hat = np.asarray(u_hat_flat, dtype=float)
+        if mollifier_width:
+            # mollified integrands die at k ~ 1/width; the analytic tail
+            # model describes the unmollified object and must stay off
+            u_hat = u_hat * np.exp(-0.5 * (self.flat_nodes * mollifier_width) ** 2)
+            tail = None
+        else:
+            tail = (_tail_model_for(self.params, t)
+                    if self.spec.tail_mode == "asymptotic_subtraction" else None)
+        complete = bool(mollifier_width) and self.k_max * mollifier_width > 5.0
+        return super().reduce(u_hat, x_abs, tail=tail, complete=complete)
 
 
 def _modal_density(x_abs, times, params, N, mode, spec, factors, mollifier_width=None):
@@ -591,31 +558,6 @@ def energy_density(x_grid, times, params, N, mode="hermitian", spec=None,
     )
 
 
-def _reduce_panels(u_hat_panels, nodes, weights, x, n_seg_a, edges, spec,
-                   complete=False):
-    """Accelerated cosine reduction of precomputed integrand panels.
-
-    ``complete`` marks integrands already negligible at the range end
-    (mollified ones); their plain sum is exact and extrapolation models
-    would only fit the cutoff shape.
-    """
-    panel_vals = np.sum(weights * np.cos(nodes * x) * u_hat_panels, axis=1)
-    head = np.sum(panel_vals[:n_seg_a])
-    tail_sums = head + np.cumsum(panel_vals[n_seg_a:])
-    k_edges_b = edges[n_seg_a + 1:]
-    osc_phase = x * (edges[-1] - edges[n_seg_a])
-    if complete:
-        value = tail_sums[-1]
-    elif osc_phase >= 6.0 * np.pi:
-        window = 2 * spec.acceleration_order + 1
-        value, spread = _wynn_epsilon(tail_sums[-window:] if len(tail_sums) > window else tail_sums)
-        if not np.isfinite(value) or spread > 1e-3 * max(np.max(np.abs(tail_sums)), 1e-30):
-            value = tail_sums[-1]
-    else:
-        value = _extrapolate_wide(tail_sums, k_edges_b)
-    return value / np.pi  # even integrand: (1/2pi) * 2
-
-
 def _closed_p1_integrand(k, t, params):
     """Two-branch transformed energy density of the two-moment system.
 
@@ -668,7 +610,8 @@ def ballistic_density(x, mu, mu0, t, params, spec=None, mollifier_width=0.01):
     spatial profile multiplying delta(mu - mu0), mollified by a Gaussian
     of width ``mollifier_width`` (the profile itself is a delta at
     x = v mu0 t when alpha = 1).  Mass over x equals
-    E_alpha(-sigma_t t^alpha) for any mollifier width.
+    E_alpha(-sigma_t t^alpha) for any mollifier width.  Without a ``spec``
+    the integration range ends at k_max = 16 / mollifier_width.
     """
     if t <= 0:
         raise DomainError("t must be positive")
@@ -682,9 +625,10 @@ def ballistic_density(x, mu, mu0, t, params, spec=None, mollifier_width=0.01):
         z = -(1j * k * v * mu0 + sig_t) * t**alpha
         return mittag_leffler(alpha, z) * np.exp(-0.5 * (k * eps) ** 2)
 
-    spec = spec or QuadratureSpec(tail_mode="none")
-    if spec.tail_mode != "none":
-        spec = replace(spec, tail_mode="none")
+    # the mollifier is below e^-32 over the top half of [0, 16/eps], so the
+    # partial sums have settled there and no extrapolation model is fitted
+    # to the cutoff shape
+    spec = spec or QuadratureSpec(k_max=16.0 / eps if eps > 0 else None)
     return fourier_inversion(f, float(x), spec=spec, k_c=critical_wavenumber(params))
 
 

@@ -79,6 +79,15 @@ def test_cross_method_grid(alpha):
             assert abs(q - ref) <= 1e-6 * (1.0 + abs(ref))
 
 
+def test_quadrature_takes_position_arrays():
+    dp = DiffusionParams(alpha=0.75, D0=1.0 / 3.0)
+    xs = np.linspace(-4.0, 4.0, 41).reshape(41, 1)
+    q = diffusion_density_quadrature(xs, 0.1, dp)
+    assert q.shape == xs.shape
+    mw = diffusion_density_mwright(xs, 0.1, dp)
+    assert np.max(np.abs(q - mw) / (1.0 + np.abs(mw))) <= 1e-6
+
+
 def test_unit_mass():
     dp = DiffusionParams(alpha=0.5, D0=1.0 / 3.0)
     val, _ = quad(lambda x: diffusion_density_mwright(x, 0.3, dp), 0, 50, limit=300)

@@ -224,6 +224,13 @@ class TestMatrixAction:
         )
         assert got == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("action", [ml_matrix_action, hermitian_matrix_action])
+    def test_negative_time_rejected(self, medium, action):
+        dec = decompose(assemble_operator(1.0, medium, 1))
+        c0 = np.array([0.5, np.sqrt(3) / 2], dtype=complex)
+        with pytest.raises(DomainError):
+            action(dec, -0.1, 0.5, c0)
+
 
 class TestHermitianWeights:
     def test_above_critical_half_half(self, medium, k_c):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import sici, wofz
 
-from fracrte.errors import DomainError
+from fracrte.errors import DomainError, QuadratureError
 from fracrte.spectral import assemble_operator, critical_wavenumber, section5_medium
 from fracrte.specfun import mittag_leffler
 from fracrte.transport import (
@@ -93,6 +95,36 @@ class TestFourierInversion:
         spec = QuadratureSpec(k_max=200.0, tail_mode="none")
         got = fourier_inversion(lambda k: 1.0 / (1 + k**2), 0.0, spec=spec)
         assert got == pytest.approx(0.5, abs=1e-8)
+
+    @settings(max_examples=50)
+    @given(
+        a=st.floats(0.05, 4.0),
+        b=st.floats(-2.0, 2.0),
+        q=st.floats(0.2, 5.0),
+        log_x=st.floats(-4.0, np.log10(3.0)),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_exact_pairs(self, a, b, q, log_x, sign):
+        # a shifted Gaussian exercises the sine term; a Lorentzian the
+        # algebraic tail; positions reach 1e-4 from the origin
+        x = sign * 10.0**log_x
+        got = fourier_inversion(lambda k: np.exp(-a * k**2 - 1j * k * b), x)
+        peak = 1.0 / (2.0 * np.sqrt(np.pi * a))
+        assert abs(got - peak * np.exp(-((x - b) ** 2) / (4.0 * a))) <= 1e-7 * peak
+        got = fourier_inversion(lambda k: 1.0 / (k**2 + q**2), x)
+        peak = 1.0 / (2.0 * q)
+        assert abs(got - peak * np.exp(-q * abs(x))) <= 1e-7 * peak
+
+    def test_array_positions_keep_shape(self):
+        xs = np.array([[-1.5, -0.2], [0.0, 2.5]])
+        got = fourier_inversion(lambda k: np.exp(-(k**2)), xs)
+        assert got.shape == xs.shape
+        assert np.max(np.abs(got - np.exp(-(xs**2) / 4) / (2 * np.sqrt(np.pi)))) < 1e-10
+
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_non_finite_integrand_raises(self, x):
+        with pytest.raises(QuadratureError):
+            fourier_inversion(lambda k: np.full(np.shape(k), np.nan), x)
 
     def test_transport_integrand_against_dense_trapezoid(self, medium):
         # half-order closed form goes through the Faddeeva function on the
