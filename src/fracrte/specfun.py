@@ -8,7 +8,8 @@ profile M_nu(x) of fractional diffusion, and ``f_alpha_half`` the closed
 form of the inverse-Laplace kernel of exp(-sqrt(s)).
 
 All functions are pure and accept scalars or numpy arrays in the main
-argument; they are safe to call concurrently.
+argument; they are safe to call concurrently.  Every step runs on arrays,
+so a point's value does not depend on the other points of the call.
 """
 
 from __future__ import annotations
@@ -269,48 +270,52 @@ _MW_SERIES_XMAX = 12.0
 
 
 def _m_wright_series(nu, x, rtol, max_terms):
-    """Alternating series for M_nu in extended precision.
+    """Alternating series for M_nu in extended precision, over an array x.
 
-    Returns ``(value, loss_flag)``; ``loss_flag`` is set when cancellation
-    has consumed the precision budget and the caller should switch to the
-    Laplace-inversion route.  The power/factorial factor is carried as a
-    running product so no intermediate overflows.
+    Returns ``(values, loss)`` arrays; ``loss`` marks points where
+    cancellation has consumed the precision budget (or a term overflowed)
+    and the caller should switch to the Laplace-inversion route.  The
+    power/factorial factor is carried as a running product so no
+    intermediate overflows.  Each point stops on its own rule and leaves
+    the active set; the per-point operation order does not depend on the
+    other points.
     """
-    one = np.longdouble(1.0)
-    total = np.longdouble(rgamma(1.0 - nu))
-    comp = np.longdouble(0.0)
-    pf = one  # (-x)^n / n!
-    max_mag = abs(total)
-    small = 0
+    eps_ld = float(np.finfo(np.longdouble).eps)
+    values = np.empty(x.shape)
+    loss = np.ones(x.shape, dtype=bool)
+    idx = np.arange(x.size)
+    neg_x = np.asarray(-x, dtype=np.longdouble)
+    total = np.full(x.shape, rgamma(1.0 - nu), dtype=np.longdouble)
+    comp = np.zeros(x.shape, dtype=np.longdouble)
+    pf = np.ones(x.shape, dtype=np.longdouble)  # (-x)^n / n!
+    max_mag = np.abs(total)
+    small = np.zeros(x.shape, dtype=int)
     for n in range(1, max_terms + 1):
-        pf = pf * np.longdouble(-x) / n
+        if idx.size == 0:
+            break
+        pf = pf * neg_x / n
         rg = rgamma(-nu * (n + 1) + 1.0)
         if not np.isfinite(rg):
-            return float(total + comp), True
+            break
         term = pf * np.longdouble(rg)
-        if abs(term) > 1e280:
-            return float(total + comp), True
-        total, comp = _neumaier_scalar(total, comp, term)
-        max_mag = max(max_mag, abs(term))
-        if abs(term) <= rtol * max(abs(total + comp), 1e-300):
-            small += 1
-            if small >= 2:
-                value = float(total + comp)
-                eps_ld = float(np.finfo(np.longdouble).eps)
-                loss = abs(value) < max_mag * eps_ld * n / (0.5 * max(rtol, 1e-12))
-                return value, loss
-        else:
-            small = 0
-    return float(total + comp), True
-
-
-def _neumaier_scalar(total, comp, term):
-    t = total + term
-    if abs(total) >= abs(term):
-        comp += (total - t) + term
-    else:
-        comp += (term - t) + total
-    return t, comp
+        big = np.abs(term) > 1e280
+        values[idx[big]] = (total[big] + comp[big]).astype(float)
+        total, comp = _neumaier_sum_inplace(total, comp, term)
+        max_mag = np.maximum(max_mag, np.abs(term))
+        settled = np.abs(term) <= rtol * np.maximum(np.abs(total + comp), 1e-300)
+        small = np.where(settled, small + 1, 0)
+        done = (small >= 2) & ~big
+        if np.any(done):
+            val = (total[done] + comp[done]).astype(float)
+            values[idx[done]] = val
+            loss[idx[done]] = np.abs(val) < (
+                max_mag[done] * eps_ld * n / (0.5 * max(rtol, 1e-12)))
+        keep = ~(done | big)
+        if not np.all(keep):
+            idx, neg_x, total, comp, pf, max_mag, small = (
+                a[keep] for a in (idx, neg_x, total, comp, pf, max_mag, small))
+    values[idx] = (total + comp).astype(float)
+    return values, loss
 
 
 def _stretched_exp_log(nu, x):
@@ -380,39 +385,58 @@ def _talbot_invert_exp_power(alpha, t):
 
 
 def _stable_tail_series(alpha, t, rtol=1e-12, max_terms=700):
-    """Reciprocal-power series of f_alpha, convergent for all t > 0.
+    """Reciprocal-power series of f_alpha over an array t, convergent for all t > 0.
 
     f_alpha(t) = (1/pi) sum_k (-1)^(k+1) Gamma(alpha k + 1) sin(pi k alpha)
                  / k! * t^(-alpha k - 1).
 
-    Terms are built in log space and accumulated in extended precision.
-    Returns ``(value, ok)`` with ``ok`` False when the predicted
-    cancellation error exceeds 1e-7 of the result before the stop
-    criterion is met.
+    Terms are built in log space and accumulated in extended precision;
+    each point stops on its own rule and leaves the active set, so its
+    operation order does not depend on the other points.  Returns
+    ``(values, ok)`` arrays.  ``ok`` certifies 1e-7 relative accuracy: the
+    extended-precision rounding eps_ld * k * max|term| plus the error each
+    term inherits from its float64 log magnitude,
+    sum |term| * 2^-52 * (|log_mag| + |(alpha k + 1) log t| + 4), must stay
+    below 1e-7 of the sum.  Points whose magnitude overflows or that do not
+    stop within ``max_terms`` are not ok.
     """
-    log_t = np.log(t)
-    total = np.longdouble(0.0)
-    comp = np.longdouble(0.0)
-    max_mag = 0.0
     eps_ld = float(np.finfo(np.longdouble).eps)
-    small = 0
+    values = np.zeros(t.shape)
+    ok = np.zeros(t.shape, dtype=bool)
+    idx = np.arange(t.size)
+    log_t = np.log(t)
+    total = np.zeros(t.shape, dtype=np.longdouble)
+    comp = np.zeros(t.shape, dtype=np.longdouble)
+    max_mag = np.zeros(t.shape)
+    err64 = np.zeros(t.shape)
+    small = np.zeros(t.shape, dtype=int)
     for k in range(1, max_terms + 1):
+        if idx.size == 0:
+            break
         sin_fac = np.sin(np.pi * k * alpha)
-        log_mag = gammaln(alpha * k + 1.0) - gammaln(k + 1.0) - (alpha * k + 1.0) * log_t
-        if log_mag > 640.0:
-            return 0.0, False
-        term = np.longdouble((-1.0) ** (k + 1) * sin_fac) * np.exp(np.longdouble(log_mag))
-        total, comp = _neumaier_scalar(total, comp, term)
-        max_mag = max(max_mag, abs(float(term)))
-        if abs(float(term)) <= rtol * max(abs(float(total + comp)), 1e-300):
-            small += 1
-            if small >= 2:
-                value = float(total + comp) / np.pi
-                ok = abs(value) * np.pi > max_mag * eps_ld * k / 1e-7
-                return value, ok
-        else:
-            small = 0
-    return float(total + comp) / np.pi, False
+        scale_log = (alpha * k + 1.0) * log_t
+        log_mag = gammaln(alpha * k + 1.0) - gammaln(k + 1.0) - scale_log
+        # overflowing points leave below; the clip keeps their dropped term finite
+        over = log_mag > 640.0
+        term = np.longdouble((-1.0) ** (k + 1) * sin_fac) * np.exp(
+            np.minimum(log_mag, 640.0).astype(np.longdouble))
+        total, comp = _neumaier_sum_inplace(total, comp, term)
+        mag = np.abs(term.astype(float))
+        max_mag = np.maximum(max_mag, mag)
+        err64 = err64 + mag * 2.0**-52 * (np.abs(log_mag) + np.abs(scale_log) + 4.0)
+        settled = mag <= rtol * np.maximum(np.abs((total + comp).astype(float)), 1e-300)
+        small = np.where(settled, small + 1, 0)
+        done = (small >= 2) & ~over
+        if np.any(done):
+            val = (total[done] + comp[done]).astype(float)
+            values[idx[done]] = val / np.pi
+            ok[idx[done]] = max_mag[done] * eps_ld * k + err64[done] < 1e-7 * np.abs(val)
+        keep = ~(done | over)
+        if not np.all(keep):
+            idx, log_t, total, comp, max_mag, err64, small = (
+                a[keep] for a in (idx, log_t, total, comp, max_mag, err64, small))
+    values[idx] = (total + comp).astype(float) / np.pi
+    return values, ok
 
 
 def _stable_zolotarev(alpha, t):
@@ -478,7 +502,10 @@ def stable_density(alpha, t):
     the convergent reciprocal-power series, a 32-node fixed-Talbot contour
     inversion (valid while the contour exponent stays bounded), and
     Zolotarev's positive-integrand angular integral, which has no
-    cancellation and serves whatever the first two leave.
+    cancellation and serves whatever the first two leave.  The series runs
+    over all points at once and certifies 1e-7 relative accuracy (see
+    :func:`_stable_tail_series`); only the points it does not certify go,
+    one at a time, to the other two routes.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"stable density requires alpha in (0, 1), got {alpha}")
@@ -490,14 +517,11 @@ def stable_density(alpha, t):
     if alpha == 0.5:
         out = t_flat ** (-1.5) * np.exp(-0.25 / t_flat) / (2.0 * np.sqrt(np.pi))
     else:
-        out = np.empty(t_flat.shape)
-        for i, ti in enumerate(t_flat):
-            val, ok = _stable_tail_series(alpha, ti)
-            if not ok:
-                val, ok = _talbot_invert_exp_power(alpha, ti)
-            if not ok:
-                val = _stable_zolotarev(alpha, ti)
-            out[i] = max(val, 0.0)
+        out, ok = _stable_tail_series(alpha, t_flat)
+        for i in np.flatnonzero(~ok):
+            val, good = _talbot_invert_exp_power(alpha, t_flat[i])
+            out[i] = val if good else _stable_zolotarev(alpha, t_flat[i])
+        out = np.maximum(out, 0.0)
     out = out.reshape(t_arr.shape) if not scalar else out[0]
     return float(out) if scalar else out
 
@@ -520,7 +544,10 @@ def m_wright(nu, x):
     bites early) the value is recovered from the one-sided stable density
     through its exact kernel relation.  Arguments in the deep
     stretched-exponential tail return 0 once the decay bound falls below
-    1e-300.
+    1e-300.  The points are split into these routes up front: the series
+    runs over all its points at once, and every point for the kernel route
+    (x > 12, or series precision loss) goes into one ``stable_density``
+    call.
     """
     if not (0.0 < nu < 1.0):
         raise DomainError(f"order nu must be in (0, 1), got {nu}")
@@ -531,24 +558,22 @@ def m_wright(nu, x):
         raise DomainError("argument x must be finite and >= 0")
 
     out = np.empty(x_flat.shape, dtype=float)
-    for i, xi in enumerate(x_flat):
-        if xi > 1.0:
-            decay_log = _stretched_exp_log(nu, xi)
-            if decay_log < -23.0:
-                # deep tail: the saddle form beats the noise floor of any
-                # summation route (exact 0 below the underflow threshold)
-                out[i] = 0.0 if decay_log < -690.0 else float(np.exp(decay_log))
-                continue
-        if xi > _MW_SERIES_XMAX:
-            out[i] = _m_wright_from_kernel(nu, xi)
-            continue
-        val, loss = _m_wright_series(nu, xi, _RTOL, _MAX_TERMS)
-        if loss:
-            if xi == 0.0:
-                raise ConvergenceError("M-Wright series failed at x=0", region="series")
-            out[i] = _m_wright_from_kernel(nu, xi)
-        else:
-            out[i] = max(val, 0.0)
+    decay_log = np.zeros(x_flat.shape)
+    far = x_flat > 1.0
+    decay_log[far] = _stretched_exp_log(nu, x_flat[far])
+    # deep tail: the saddle form beats the noise floor of any summation
+    # route (exact 0 below the underflow threshold)
+    deep = decay_log < -23.0
+    out[deep] = np.where(decay_log[deep] < -690.0, 0.0, np.exp(decay_log[deep]))
+    via_kernel = ~deep & (x_flat > _MW_SERIES_XMAX)
+    series = np.flatnonzero(~deep & ~via_kernel)
+    vals, loss = _m_wright_series(nu, x_flat[series], _RTOL, _MAX_TERMS)
+    if np.any(loss & (x_flat[series] == 0.0)):
+        raise ConvergenceError("M-Wright series failed at x=0", region="series")
+    out[series] = np.maximum(vals, 0.0)
+    via_kernel[series[loss]] = True
+    if np.any(via_kernel):
+        out[via_kernel] = _m_wright_from_kernel(nu, x_flat[via_kernel])
     out = out.reshape(x_arr.shape) if not scalar else out[0]
     return float(out) if scalar else out
 

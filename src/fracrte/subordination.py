@@ -156,12 +156,15 @@ def subordinated_energy_density(x_grid, times, params, N, spec=None):
 
     def factors(lam, t):
         kernel = build_kernel(t, params.alpha)
+        # nodes in the kernel's deep tail carry weight exactly 0
+        live = kernel.weights != 0.0
+        nodes, weights = kernel.nodes[live], kernel.weights[live]
         lam_flat = lam.ravel()
         acc = np.zeros(lam_flat.shape, dtype=complex)
         chunk = max(1, _BLOCK_ENTRIES // lam_flat.size)
-        for start in range(0, kernel.nodes.size, chunk):
-            block = np.multiply.outer(lam_flat, -kernel.nodes[start:start + chunk])
-            acc += np.exp(block, out=block) @ kernel.weights[start:start + chunk]
+        for start in range(0, nodes.size, chunk):
+            block = np.multiply.outer(lam_flat, -nodes[start:start + chunk])
+            acc += np.exp(block, out=block) @ weights[start:start + chunk]
         return acc.reshape(lam.shape)
 
     values = _modal_density(np.abs(x_grid), times, replace(params, alpha=1.0), N, "exact",

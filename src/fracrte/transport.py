@@ -381,30 +381,34 @@ class _PanelLayout:
         n_top = (len(self.edges) - 1 - self.n_seg_a) // 3 * spec.nodes_per_halfperiod
         self._top = slice(-max(n_top, 2 * spec.nodes_per_halfperiod), None)
 
-    def reduce(self, f_vals, x, tail=None, complete=False):
+    def reduce(self, f_vals, x, tail=None, mollifier_width=None):
         """Invert integrand values at ``flat_nodes`` onto positions ``x``.
 
         ``f_vals`` may be complex (Hermitian integrand, signed ``x``).  A
-        ``tail`` model is subtracted and its transform added back; unless
-        the integrand is ``complete``, a fitted a/(k^2+q^2) tail is too.
-        Raises QuadratureError if a value is not finite.
+        ``tail`` model is subtracted and its transform added back.  A
+        ``mollifier_width`` multiplies the integrand by a Gaussian of that
+        width; once it has died by k_max (k_max * width > 5) the integrand
+        is complete: its plain panel sum is the value, and extrapolation or
+        a fitted tail would only model the cutoff shape.  Otherwise a fitted
+        a/(k^2+q^2) tail is subtracted and added back.  Raises
+        QuadratureError if a value is not finite.
         """
+        if mollifier_width:
+            f_vals = f_vals * np.exp(-0.5 * (self.flat_nodes * mollifier_width) ** 2)
+        complete = bool(mollifier_width) and self.k_max * mollifier_width > 5.0
         if tail is not None:
             f_vals = f_vals - tail.integrand(self.flat_nodes)
         a_alg = 0.0 if complete else _fit_algebraic_tail(
             self.flat_nodes[self._top], f_vals[self._top], self.q)
         f_vals = f_vals - a_alg / (self.flat_nodes**2 + self.q**2)
         panels = f_vals.reshape(self.nodes.shape)
-
-        def one_x(xv):
-            val = _reduce_panels(panels, self.nodes, self.weights, xv,
-                                 self.n_seg_a, self.edges, self.spec, complete=complete)
-            val += a_alg * np.exp(-self.q * abs(xv)) / (2.0 * self.q)
-            if tail is not None:
-                val += tail.transform(xv)
-            return val
-
-        values = np.array([one_x(xv) for xv in x])
+        values = np.array([
+            _reduce_panels(panels, self.nodes, self.weights, xv, self.n_seg_a,
+                           self.edges, self.spec, complete=complete)
+            + a_alg * np.exp(-self.q * abs(xv)) / (2.0 * self.q)
+            for xv in x])
+        if tail is not None:
+            values += tail.transform(x)
         if not np.all(np.isfinite(values)):
             raise QuadratureError("half-line inversion gave a non-finite value",
                                   panels=len(self.edges) - 1,
@@ -479,17 +483,12 @@ class _EnergyLayout(_PanelLayout):
 
     def reduce(self, u_hat_flat, x_abs, t, mollifier_width=None):
         """Cosine-transform precomputed integrand values onto positions."""
-        u_hat = np.asarray(u_hat_flat, dtype=float)
-        if mollifier_width:
-            # mollified integrands die at k ~ 1/width; the analytic tail
-            # model describes the unmollified object and must stay off
-            u_hat = u_hat * np.exp(-0.5 * (self.flat_nodes * mollifier_width) ** 2)
-            tail = None
-        else:
-            tail = (_tail_model_for(self.params, t)
-                    if self.spec.tail_mode == "asymptotic_subtraction" else None)
-        complete = bool(mollifier_width) and self.k_max * mollifier_width > 5.0
-        return super().reduce(u_hat, x_abs, tail=tail, complete=complete)
+        # the analytic tail model describes the unmollified object
+        tail = (_tail_model_for(self.params, t)
+                if not mollifier_width and self.spec.tail_mode == "asymptotic_subtraction"
+                else None)
+        return super().reduce(np.asarray(u_hat_flat, dtype=float), x_abs, tail=tail,
+                              mollifier_width=mollifier_width)
 
 
 def _modal_density(x_abs, times, params, N, mode, spec, factors, mollifier_width=None):
@@ -620,16 +619,14 @@ def ballistic_density(x, mu, mu0, t, params, spec=None, mollifier_width=0.01):
     alpha, v, sig_t = params.alpha, params.v, params.sigma_t
     eps = mollifier_width
 
-    def f(k):
-        k = np.asarray(k, dtype=float)
-        z = -(1j * k * v * mu0 + sig_t) * t**alpha
-        return mittag_leffler(alpha, z) * np.exp(-0.5 * (k * eps) ** 2)
-
-    # the mollifier is below e^-32 over the top half of [0, 16/eps], so the
-    # partial sums have settled there and no extrapolation model is fitted
-    # to the cutoff shape
+    # at 16/eps the mollifier is below e^-32 over the top half of the range,
+    # so the plain panel sum is the value (the automatic k_max can end early)
     spec = spec or QuadratureSpec(k_max=16.0 / eps if eps > 0 else None)
-    return fourier_inversion(f, float(x), spec=spec, k_c=critical_wavenumber(params))
+    k_c = critical_wavenumber(params)
+    x_flat = np.array([float(x)])
+    layout = _PanelLayout(k_c, spec, *_layout_extent(spec, np.abs(x_flat), k_c))
+    z = -(1j * layout.flat_nodes * v * mu0 + sig_t) * t**alpha
+    return float(layout.reduce(mittag_leffler(alpha, z), x_flat, mollifier_width=eps)[0])
 
 
 def source_vector(mu0, params, N):

@@ -1,7 +1,10 @@
 """Special-function contracts: frozen oracle values and identities."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc, wofz
 
@@ -142,3 +145,53 @@ class TestStableKernel:
     def test_general_order_unit_mass(self, alpha):
         val, _ = quad(lambda t: stable_density(alpha, t), 0, np.inf, limit=400)
         assert val == pytest.approx(1.0, abs=1e-7)
+
+
+def _stable_oracle(alpha, t):
+    """Zolotarev's positive-integrand representation of f_alpha at 40 digits."""
+    with mp.workdps(40):
+        a, t = mp.mpf(alpha), mp.mpf(t)
+        one_m = 1 - a
+        y = t ** (-a / one_m)
+
+        def integrand(phi):
+            big_a = (mp.sin(a * phi) ** a * mp.sin(one_m * phi) ** one_m
+                     / mp.sin(phi)) ** (1 / one_m)
+            return big_a * mp.exp(-y * big_a)
+
+        val = mp.quad(integrand, mp.linspace(0, mp.pi, 9))
+        return float(a / one_m * t ** (-1 / one_m) * val / mp.pi)
+
+
+class TestStableOracle:
+    def test_series_certificate_band(self):
+        # the reciprocal-power series cancels here; its certificate must
+        # count the float64 error of each term's log magnitude, or it
+        # accepts sums off by up to 2.1e-4 (the m_wright(0.75, x ~ 3.3)
+        # points of the transport tail transform)
+        ts = np.linspace(0.15, 0.30, 61)
+        got = stable_density(0.75, ts)
+        ref = np.array([_stable_oracle(0.75, t) for t in ts])
+        assert np.max(np.abs(got - ref) / ref) < 1e-6
+
+
+class TestArrayEvaluation:
+    # every step runs on arrays, so a point's value does not depend on the
+    # other points of the call
+    @settings(max_examples=40)
+    @given(
+        nu=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        xs=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8),
+    )
+    def test_m_wright_pointwise(self, nu, xs):
+        x = np.array(xs)
+        assert np.array_equal(m_wright(nu, x), [m_wright(nu, xi) for xi in x])
+
+    @settings(max_examples=40)
+    @given(
+        alpha=st.floats(0.05, 0.999, exclude_min=True, exclude_max=True),
+        log_t=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+    )
+    def test_stable_density_pointwise(self, alpha, log_t):
+        t = 10.0 ** np.array(log_t)
+        assert np.array_equal(stable_density(alpha, t), [stable_density(alpha, ti) for ti in t])

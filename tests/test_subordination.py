@@ -38,7 +38,15 @@ class TestKernelPhi:
 
 
 class TestKernelGrid:
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("alpha", [
+        0.25, 0.5, 0.75, 0.9, 0.95,
+        # the trapezoid grid misses unit mass by 2.4e-6 and 4.3e-5 here,
+        # while stable_density itself matches a 40-digit oracle to 7e-10
+        pytest.param(0.99, marks=pytest.mark.xfail(
+            strict=True, reason="kernel grid mass defect 2.4e-6 at alpha=0.99")),
+        pytest.param(0.999, marks=pytest.mark.xfail(
+            strict=True, reason="kernel grid mass defect 4.3e-5 at alpha=0.999")),
+    ])
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
     def test_unit_mass(self, alpha, t):
         assert abs(build_kernel(t, alpha).mass - 1.0) < 1e-6
@@ -50,7 +58,6 @@ class TestKernelGrid:
             mom = float(np.sum(k.weights * k.nodes))
             assert mom == pytest.approx(t**alpha / gamma(1 + alpha), rel=1e-6)
 
-    @pytest.mark.slow
     def test_near_first_order_moment(self):
         # as alpha -> 1 the kernel collapses toward a delta at tau = t; the
         # quadrature must still integrate it (the exact first moment is

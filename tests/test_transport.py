@@ -257,6 +257,15 @@ class TestBallistic:
     def test_off_direction_is_zero(self, medium):
         assert ballistic_density(0.1, 0.3, 0.7, 0.1, medium) == 0.0
 
+    def test_explicit_spec_matches_default(self, medium):
+        # with the automatic k_max (300 at x = 0) the mollifier has died by
+        # the range end, so the plain sum is the value; an extrapolation
+        # model would fit the cutoff shape instead
+        got = ballistic_density(0.0, 0.7, 0.7, 0.1, medium, spec=QuadratureSpec(),
+                                mollifier_width=0.02)
+        ref = ballistic_density(0.0, 0.7, 0.7, 0.1, medium, mollifier_width=0.02)
+        assert got == pytest.approx(ref, rel=1e-6)
+
 
 class TestCollisionSplit:
     def test_source_vector_benchmark(self, medium):
