@@ -28,7 +28,6 @@ from .subordination import (
     SubordinationKernel,
     build_kernel,
     kernel_phi,
-    subordinate_density,
     subordinated_energy_density,
 )
 from .transport import (
@@ -59,7 +58,7 @@ __all__ = [
     "scattered_coefficients",
     "DiffusionParams", "d0", "diffusion_density_quadrature", "diffusion_density_mwright",
     "CTRWParams", "map_params", "sample_waiting_time", "simulate_density",
-    "SubordinationKernel", "kernel_phi", "subordinate_density", "build_kernel",
+    "SubordinationKernel", "kernel_phi", "build_kernel",
     "subordinated_energy_density",
     "__version__",
 ]

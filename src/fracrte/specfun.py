@@ -4,8 +4,11 @@
 z by a three-region strategy: Taylor series near the origin, an optimal-
 truncation asymptotic expansion far out, and a deformed Hankel/Bromwich
 contour integral in between.  ``m_wright`` evaluates the self-similar
-profile M_nu(x) of fractional diffusion, and ``f_alpha_half`` the closed
-form of the inverse-Laplace kernel of exp(-sqrt(s)).
+profile M_nu(x) of fractional diffusion.  ``stable_density`` evaluates the
+one-sided stable density f_alpha by two routes, a certified series and
+Zolotarev's angular integral for the points the series leaves, and
+``f_alpha_half`` is the closed form of the inverse-Laplace kernel of
+exp(-sqrt(s)).
 
 All functions are pure and accept scalars or numpy arrays in the main
 argument; they are safe to call concurrently.  Every step runs on arrays,
@@ -15,7 +18,6 @@ so a point's value does not depend on the other points of the call.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, rgamma
 
 from .errors import ConvergenceError, DomainError
@@ -327,63 +329,6 @@ def _stretched_exp_log(nu, x):
     return np.log(amp) + a_exp * np.log(x) - b * x**c
 
 
-_TALBOT_M = 32
-_TALBOT_M_CHECK = 21
-_TALBOT_EXPONENT_GUARD = 16.0  # max Re(ts - s^alpha) for acceptable cancellation
-
-
-def _talbot_coefficients(M):
-    r = 2.0 * M / 5.0
-    theta = np.arange(1, M) * np.pi / M
-    cot = 1.0 / np.tan(theta)
-    s_unit = theta * (cot + 1j)  # s = s_unit * r / t
-    sigma = theta + (theta * cot - 1.0) * cot
-    return r, s_unit, sigma
-
-
-_TALBOT_COEFFS = {M: _talbot_coefficients(M) for M in (_TALBOT_M, _TALBOT_M_CHECK)}
-
-
-def _talbot_once(alpha, t, M):
-    """One fixed-Talbot contour sum; returns (value, ok, scale)."""
-    r, s_unit, sigma = _TALBOT_COEFFS[M]
-    s = s_unit * (r / t)
-    w = t * s - s**alpha
-    head_exp = r - (r / t) ** alpha
-    max_exp = max(np.max(w.real), head_exp)
-    if max_exp > _TALBOT_EXPONENT_GUARD:
-        return 0.0, False, 0.0
-    terms = np.exp(w) * (1.0 + 1j * sigma)
-    mags = np.abs(terms)
-    dphi = np.abs(np.diff(w.imag))
-    weighty = (mags[1:] + mags[:-1]) > 2e-12 * max(mags.max(), 1e-300)
-    if np.any(weighty & (dphi > 2.5)):
-        return 0.0, False, 0.0
-    scale = (r / (M * t)) * (0.5 * np.exp(head_exp) + np.sum(mags))
-    value = (r / (M * t)) * (0.5 * np.exp(head_exp) + np.sum(terms.real))
-    return value, True, scale
-
-
-def _talbot_invert_exp_power(alpha, t):
-    """Fixed-Talbot inversion of exp(-s**alpha) at scalar t > 0.
-
-    Returns ``(value, ok)``.  The sum is formed on two contours of
-    different node counts; disagreement flags the regime (growing contour
-    exponent, under-resolved phase, or macroscopic cancellation) where the
-    32-node rule silently loses the answer.
-    """
-    v1, ok1, scale1 = _talbot_once(alpha, t, _TALBOT_M)
-    if not ok1:
-        return 0.0, False
-    v2, ok2, _ = _talbot_once(alpha, t, _TALBOT_M_CHECK)
-    if not ok2:
-        return 0.0, False
-    tol = 1e-6 * max(abs(v1), 1e-300) + 1e-13 * scale1
-    if abs(v1 - v2) > tol:
-        return 0.0, False
-    return v1, abs(v1) > 1e-14 * scale1
-
-
 def _stable_tail_series(alpha, t, rtol=1e-12, max_terms=700):
     """Reciprocal-power series of f_alpha over an array t, convergent for all t > 0.
 
@@ -439,28 +384,41 @@ def _stable_tail_series(alpha, t, rtol=1e-12, max_terms=700):
     return values, ok
 
 
+# Zolotarev rule: on each side of the peak, panels graded by halves toward
+# it, each with a fixed Gauss-Legendre rule; the peak is found by bisection
+_ZOLO_PANELS = 11
+_ZOLO_GAUSS = np.polynomial.legendre.leggauss(48)
+_ZOLO_BISECTIONS = 60
+
+
 def _stable_zolotarev(alpha, t):
-    """Positive-integrand angular representation of the stable density.
+    """Zolotarev's positive-integrand angular integral of f_alpha over an array t.
 
     f_alpha(t) = (alpha/(1-alpha)) t^(-1/(1-alpha)) (1/pi)
                  * integral_0^pi A(phi) exp(-y A(phi)) dphi,
     y = t^(-alpha/(1-alpha)),
     A(phi) = [sin(a phi)^a sin((1-a) phi)^(1-a) / sin(phi)]^(1/(1-a)).
 
-    No cancellation occurs anywhere, so this covers the bands where both
-    the reciprocal-power series and the Talbot contour lose accuracy
-    (including orders arbitrarily close to one).
+    No cancellation occurs anywhere, so this serves every point the series
+    leaves, for orders arbitrarily close to one.  log A rises from
+    log A(0+) to infinity at pi, and the integrand peaks near phi*, where
+    y A(phi*) = 1; for orders near one it collapses to a spike there.
+    phi* is bisected on [0, pi] (it settles at an endpoint when there is no
+    crossing), and each side of it gets panels graded by halves toward it.
+    The Gauss nodes are interior, so log sin stays finite, and the
+    prefactor rides in the exponent, so nothing overflows.  A point's
+    nodes lie on one trailing axis and are summed there, so its value does
+    not depend on the other points.  Points whose decay bound y A(0+)
+    exceeds 700 (or overflows) are 0.
     """
     one_m = 1.0 - alpha
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = t ** (-alpha / one_m)
-    if not np.isfinite(y):
-        # astronomically small t: the decay bound already underflows
-        return 0.0
-    min_exponent = y * one_m * alpha ** (alpha / one_m)  # y * A(0+)
-    if min_exponent > 700.0:
-        return 0.0
-    log_y = np.log(y)
+    log_y = -alpha / one_m * np.log(t)
+    with np.errstate(over="ignore"):
+        live = np.exp(log_y) * one_m * alpha ** (alpha / one_m) <= 700.0
+    out = np.zeros(t.shape)
+    if not np.any(live):
+        return out
+    log_y = log_y[live, None]
 
     def log_a(phi):
         return (
@@ -469,43 +427,40 @@ def _stable_zolotarev(alpha, t):
             - np.log(np.sin(phi))
         ) / one_m
 
-    def integrand(phi):
+    lo = np.zeros(log_y.shape)
+    hi = np.full(log_y.shape, np.pi)
+    for _ in range(_ZOLO_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        below = log_a(mid) + log_y < 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    # edges at distances 1, 1/2, ..., 2^-10 and 0 (of each side's length)
+    # from the peak
+    frac = np.append(0.5 ** np.arange(_ZOLO_PANELS), 0.0)
+    edges = np.concatenate((lo * (1.0 - frac), lo + (np.pi - lo) * frac[-2::-1]), axis=1)
+    gx, gw = _ZOLO_GAUSS
+    half = 0.5 * np.diff(edges, axis=1)[:, :, None]
+    phi = (0.5 * (edges[:, 1:] + edges[:, :-1]))[:, :, None] + half * gx
+    log_pref = np.log(alpha / (one_m * np.pi)) - np.log(t[live, None, None]) / one_m
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         la = log_a(phi)
-        expo = la + log_y
-        if expo > 690.0:
-            return 0.0
-        return np.exp(la - np.exp(expo))
-
-    # locate where y*A(phi) = 1: A is monotone from A(0+) to infinity at pi,
-    # and for orders near one the integrand collapses to a spike there that
-    # blind adaptive subdivision misses
-    lo, hi = 1e-9, np.pi - 1e-9
-    pts = None
-    if log_a(lo) + log_y < 0.0 < log_a(hi) + log_y:
-        a_lo, a_hi = lo, hi
-        for _ in range(80):
-            mid = 0.5 * (a_lo + a_hi)
-            if log_a(mid) + log_y < 0.0:
-                a_lo = mid
-            else:
-                a_hi = mid
-        pts = [a_lo]
-    val, _err = quad(integrand, lo, hi, limit=300, points=pts)
-    return (alpha / one_m) * t ** (-1.0 / one_m) * val / np.pi
+        expo = la + log_y[:, :, None]
+        # 0 where y A > e^690, and on an empty side, whose nodes sit on 0
+        vals = np.where(expo <= 690.0, np.exp(la + log_pref - np.exp(expo)), 0.0)
+    out[live] = np.sum((half * gw * vals).reshape(len(lo), -1), axis=-1)
+    return out
 
 
 def stable_density(alpha, t):
     """Density f_alpha(t) whose Laplace transform is exp(-s**alpha).
 
-    For ``alpha = 1/2`` the elementary closed form applies.  Otherwise the
-    value is taken from the first of these routes that certifies itself:
-    the convergent reciprocal-power series, a 32-node fixed-Talbot contour
-    inversion (valid while the contour exponent stays bounded), and
-    Zolotarev's positive-integrand angular integral, which has no
-    cancellation and serves whatever the first two leave.  The series runs
-    over all points at once and certifies 1e-7 relative accuracy (see
-    :func:`_stable_tail_series`); only the points it does not certify go,
-    one at a time, to the other two routes.
+    For ``alpha = 1/2`` the elementary closed form applies.  Otherwise two
+    routes run over whole arrays: the convergent reciprocal-power series
+    serves every point it certifies to 1e-7 relative accuracy (see
+    :func:`_stable_tail_series`), and Zolotarev's positive-integrand
+    angular integral, which has no cancellation, serves the rest through
+    one fixed Gauss-Legendre rule split at its peak (see
+    :func:`_stable_zolotarev`).
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"stable density requires alpha in (0, 1), got {alpha}")
@@ -518,10 +473,9 @@ def stable_density(alpha, t):
         out = t_flat ** (-1.5) * np.exp(-0.25 / t_flat) / (2.0 * np.sqrt(np.pi))
     else:
         out, ok = _stable_tail_series(alpha, t_flat)
-        for i in np.flatnonzero(~ok):
-            val, good = _talbot_invert_exp_power(alpha, t_flat[i])
-            out[i] = val if good else _stable_zolotarev(alpha, t_flat[i])
         out = np.maximum(out, 0.0)
+        if not np.all(ok):
+            out[~ok] = _stable_zolotarev(alpha, t_flat[~ok])
     out = out.reshape(t_arr.shape) if not scalar else out[0]
     return float(out) if scalar else out
 

@@ -17,8 +17,7 @@ from .errors import DomainError
 from .specfun import stable_density
 from .transport import DensityField, QuadratureSpec, _modal_density
 
-__all__ = ["SubordinationKernel", "kernel_phi", "subordinate_density", "build_kernel",
-           "subordinated_energy_density"]
+__all__ = ["SubordinationKernel", "kernel_phi", "build_kernel", "subordinated_energy_density"]
 
 # entries of one (wavenumber x mode) by kernel-node block of factors
 _BLOCK_ENTRIES = 1 << 16
@@ -27,8 +26,8 @@ _BLOCK_ENTRIES = 1 << 16
 def kernel_phi(tau, t, alpha):
     """Operational-time weight phi(tau, t) >= 0.
 
-    The half-order case uses the elementary stable kernel; other orders go
-    through the hybrid series/contour evaluation of f_alpha.
+    f_alpha comes from :func:`~fracrte.specfun.stable_density`: its closed
+    form at half order, else its certified series or Zolotarev's integral.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
@@ -110,27 +109,6 @@ def build_kernel(t, alpha, n_nodes=None, span_decades_low=12.0, span_decades_hig
     trap[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
     phi = kernel_phi(nodes, t, alpha)
     return SubordinationKernel(alpha=alpha, t=t, nodes=nodes, weights=phi * nodes * trap)
-
-
-def subordinate_density(u1_provider, x, t, alpha, kernel=None):
-    """Order-alpha density from the first-order density.
-
-    Evaluates integral_0^inf u1(x, tau) phi(tau, t) d tau on the kernel's
-    grid.  ``u1_provider(x, tau)`` must accept the given x (scalar or
-    array) and a scalar tau, returning matching shape.
-
-    Examples: a provider constant in tau returns that constant (kernel
-    normalization); the heat kernel subordinates to the fractional
-    diffusion solution.
-    """
-    kernel = kernel or build_kernel(t, alpha)
-    x_arr = np.asarray(x, dtype=float)
-    acc = np.zeros(np.atleast_1d(x_arr).shape)
-    for tau_i, w_i in zip(kernel.nodes, kernel.weights):
-        if w_i == 0.0:
-            continue
-        acc = acc + w_i * np.atleast_1d(np.asarray(u1_provider(x_arr, tau_i), dtype=float))
-    return float(acc[0]) if x_arr.ndim == 0 else acc.reshape(x_arr.shape)
 
 
 def subordinated_energy_density(x_grid, times, params, N, spec=None):

@@ -108,6 +108,15 @@ class TestRun:
         assert out.returncode == 0
         assert "transport" in out.stdout
 
+    def test_import_skips_scipy_integrate(self):
+        # no route needs scipy.integrate, and importing it slows every CLI start
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import fracrte.cli, sys; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
 
 @pytest.mark.slow
 def test_validate_subcommand_passes():

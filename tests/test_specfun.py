@@ -10,6 +10,7 @@ from scipy.special import erfc, wofz
 
 from fracrte.errors import DomainError
 from fracrte.specfun import (
+    _stable_tail_series,
     f_alpha_half,
     m_wright,
     mittag_leffler,
@@ -148,19 +149,40 @@ class TestStableKernel:
 
 
 def _stable_oracle(alpha, t):
-    """Zolotarev's positive-integrand representation of f_alpha at 40 digits."""
+    """Zolotarev's positive-integrand representation of f_alpha at 40 digits.
+
+    The integral is split at the peak phi*, where y A(phi*) = 1, and at a
+    third and a ninth of each side's length from it: for orders near one
+    the integrand is a spike there that even pieces do not resolve.  The
+    integrand is scaled by its value at the peak, so mpmath's absolute
+    stopping rule acts as a relative one for tiny densities.
+    """
     with mp.workdps(40):
         a, t = mp.mpf(alpha), mp.mpf(t)
         one_m = 1 - a
-        y = t ** (-a / one_m)
+        log_y = -a / one_m * mp.log(t)
 
-        def integrand(phi):
-            big_a = (mp.sin(a * phi) ** a * mp.sin(one_m * phi) ** one_m
-                     / mp.sin(phi)) ** (1 / one_m)
-            return big_a * mp.exp(-y * big_a)
+        def log_a(phi):
+            return (a * mp.log(mp.sin(a * phi)) + one_m * mp.log(mp.sin(one_m * phi))
+                    - mp.log(mp.sin(phi))) / one_m
 
-        val = mp.quad(integrand, mp.linspace(0, mp.pi, 9))
-        return float(a / one_m * t ** (-1 / one_m) * val / mp.pi)
+        def log_integrand(phi):
+            la = log_a(phi)
+            return la - mp.exp(la + log_y)
+
+        lo, hi = mp.mpf(0), +mp.pi
+        for _ in range(mp.mp.prec):
+            mid = (lo + hi) / 2
+            if log_a(mid) + log_y < 0:
+                lo = mid
+            else:
+                hi = mid
+        peak = log_integrand(lo if lo > 0 else mp.mpf(10) ** -30)
+        pts = {mp.mpf(0), lo, +mp.pi}
+        for frac in (mp.mpf(1) / 3, mp.mpf(1) / 9):
+            pts |= {lo * (1 - frac), lo + (mp.pi - lo) * frac}
+        val = mp.quad(lambda phi: mp.exp(log_integrand(phi) - peak), sorted(pts))
+        return float(a / one_m * t ** (-1 / one_m) * mp.exp(peak) * val / mp.pi)
 
 
 class TestStableOracle:
@@ -173,6 +195,25 @@ class TestStableOracle:
         got = stable_density(0.75, ts)
         ref = np.array([_stable_oracle(0.75, t) for t in ts])
         assert np.max(np.abs(got - ref) / ref) < 1e-6
+
+    @pytest.mark.parametrize("alpha, t_lo, t_hi", [
+        (0.3, 1e-3, 1.05e-3),
+        (0.6, 0.02, 0.08),
+        (0.75, 0.12, 0.23),
+        (0.95, 0.65, 0.73),
+        (0.99, 0.90, 0.96),
+        (0.999, 0.99, 1.03),
+    ])
+    def test_fallback_route(self, alpha, t_lo, t_hi):
+        # bands the series does not certify, down to f ~ 1e-52, so every
+        # point takes the Zolotarev rule; near order one its integrand is
+        # a spike at phi*
+        ts = np.linspace(t_lo, t_hi, 5)
+        _, certified = _stable_tail_series(alpha, ts)
+        assert not np.any(certified)
+        got = stable_density(alpha, ts)
+        ref = np.array([_stable_oracle(alpha, t) for t in ts])
+        assert np.max(np.abs(got - ref) / ref) < 1e-10
 
 
 class TestArrayEvaluation:

@@ -7,14 +7,24 @@ from scipy.special import gamma
 from fracrte.diffusion import DiffusionParams, diffusion_density_mwright
 from fracrte.errors import DomainError
 from fracrte.specfun import f_alpha_half
-from fracrte.subordination import (
-    build_kernel,
-    kernel_phi,
-    subordinate_density,
-    subordinated_energy_density,
-)
+from fracrte.subordination import build_kernel, kernel_phi, subordinated_energy_density
 
 D0 = 1.0 / 3.0
+
+
+def subordinate_density(u1_provider, x, t, alpha):
+    """Order-alpha density integral_0^inf u1(x, tau) phi(tau, t) d tau.
+
+    Sums ``u1_provider(x, tau)`` over the kernel grid of ``build_kernel``,
+    one node at a time; the provider takes the given x and a scalar tau.
+    """
+    kernel = build_kernel(t, alpha)
+    x_arr = np.asarray(x, dtype=float)
+    acc = np.zeros(np.atleast_1d(x_arr).shape)
+    for tau_i, w_i in zip(kernel.nodes, kernel.weights):
+        if w_i != 0.0:
+            acc = acc + w_i * np.atleast_1d(u1_provider(x_arr, tau_i))
+    return float(acc[0]) if x_arr.ndim == 0 else acc.reshape(x_arr.shape)
 
 
 class TestKernelPhi:
