@@ -117,8 +117,8 @@ def subordinated_energy_density(x_grid, times, params, N, spec=None):
     ``params`` is the order-alpha medium (0 < alpha < 1).  Its alpha = 1
     moment system is decomposed once (exact mode weights); per time, the
     kernel weights fold exp(-lambda tau) over all operational-time nodes
-    into one factor per (wavenumber, mode), and one reduction maps it onto
-    the positions.  The reduction is mollified with width 6/k_max (k_max
+    into one factor per (wavenumber, mode), and one reduction maps every
+    time onto the positions.  The reduction is mollified with width 6/k_max (k_max
     is 350 unless ``spec`` fixes it), which makes it a plain panel sum,
     linear in the integrand: this equals subordinating the first-order
     density node by node, and approximates ``energy_density`` at order

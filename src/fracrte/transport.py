@@ -4,13 +4,13 @@ The Fourier-transformed moment vector evolves mode-by-mode under the
 matrix Mittag-Leffler function; real-space densities come from the
 half-line cosine/sine inversion.  The integrands decay only algebraically
 (like 1/k^2 after direction integration), so plain truncation is useless:
-one panel layout splits the half-line, integrates each panel with Gauss
-rules, and accelerates the partial-sum sequence (Wynn's epsilon where the
-phase oscillates, reciprocal-wavenumber extrapolation near x = 0).  Every
-density here (energy, closed two-moment, ballistic) and the diffusion
-limit reach that one reduction.  For energy densities the known large-k
-limit of the integrand is optionally subtracted and its exact transform
-added back.
+one panel layout splits the half-line and integrates each panel with
+Gauss rules, and one array pass over (time x position), in bounded chunks
+of positions, forms the partial sums and accelerates them (Wynn's epsilon
+where the phase oscillates, reciprocal-wavenumber extrapolation near
+x = 0).  Every density here (energy, closed two-moment, ballistic) and
+the diffusion limit reach that one reduction; for energy densities the
+known large-k limit is optionally subtracted and its transform added back.
 """
 
 from __future__ import annotations
@@ -176,101 +176,92 @@ def evolve_coefficients(k, t, mu0, N, params, mode="exact"):
 
 
 def _wynn_epsilon(sums):
-    """Limit estimate of a partial-sum sequence by Wynn's epsilon table.
+    """Limit estimates of partial-sum sequences (one per row) by Wynn's epsilon table.
 
-    Returns ``(value, spread)`` where ``spread`` measures the scatter of
-    the last even columns (a convergence diagnostic).  Differences at
-    rounding level are treated as converged rather than inverted, which
-    would otherwise inject huge spurious entries.
+    Returns ``(value, spread)`` arrays; ``spread`` is the scatter of the
+    last three even columns (a convergence diagnostic).  A row whose last
+    five sums agree to rounding level is converged (spread 0).  A
+    difference at rounding level is not inverted, which would inject huge
+    spurious entries; the row's table stops after that column.  A row
+    whose estimate exceeds three times its largest sum falls back to its
+    last sum (spread inf).
     """
-    s = [float(v) for v in sums]
-    n = len(s)
+    s = np.asarray(sums, dtype=float)
+    rows, n = s.shape
+    last = s[:, -1].copy()
     if n < 3:
-        return s[-1], np.inf
-    scale = max(max(abs(v) for v in s), 1e-300)
-    if max(s[-min(n, 5):]) - min(s[-min(n, 5):]) < 1e-13 * scale:
-        return s[-1], 0.0
-    prev = [0.0] * (n + 1)
-    cur = list(s)
-    evens = [s[-1]]
-    degenerate = False
-    for col in range(1, n):
-        nxt = []
-        for m in range(n - col):
-            diff = cur[m + 1] - cur[m]
-            if abs(diff) < 1e-15 * scale:
-                nxt.append(prev[m + 1])
-                degenerate = True
-                continue
-            nxt.append(prev[m + 1] + 1.0 / diff)
-        prev, cur = cur, nxt
-        if col % 2 == 0 and cur:
-            evens.append(cur[-1])
-        if degenerate:
-            break
-    tail = evens[-3:] if len(evens) >= 3 else evens
-    spread = max(tail) - min(tail)
-    value = evens[-1]
-    if abs(value) > 3.0 * scale:
-        return s[-1], np.inf
+        return last, np.full(rows, np.inf)
+    scale = np.maximum(np.max(np.abs(s), axis=1), 1e-300)
+    converged = np.ptp(s[:, -5:], axis=1) < 1e-13 * scale
+    prev, cur, evens = np.zeros((rows, n + 1)), s, [last]
+    n_even, live = np.ones(rows, dtype=int), np.ones(rows, dtype=bool)  # live: table not stopped
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in range(1, n):
+            diff = cur[:, 1:] - cur[:, :-1]
+            small = np.abs(diff) < 1e-15 * scale[:, None]
+            prev, cur = cur, np.where(small, prev[:, 1:-1], prev[:, 1:-1] + 1.0 / diff)
+            if col % 2 == 0:
+                evens.append(cur[:, -1])
+                n_even += live
+            live &= ~np.any(small, axis=1)
+            if not np.any(live):
+                break
+    pick = np.maximum(n_even[:, None] - np.array([3, 2, 1]), 0)  # each row's last three evens
+    tail = np.take_along_axis(np.stack(evens, axis=1), pick, axis=1)
+    spread, value = np.ptp(tail, axis=1), tail[:, -1]
+    blown = ~converged & (np.abs(value) > 3.0 * scale)
+    value = np.where(converged | blown, last, value)
+    spread = np.where(converged, 0.0, np.where(blown, np.inf, spread))
     return value, spread
 
 
-def _neville_at_zero(u, s):
-    """Polynomial extrapolation of s(u) to u = 0 (Neville's scheme)."""
-    p = list(s)
-    n = len(p)
-    for level in range(1, n):
-        for i in range(n - level):
-            p[i] = p[i + 1] + (p[i + 1] - p[i]) * u[i + level] / (u[i] - u[i + level])
-    return p[0]
+# how _extrapolate_wide finished a row: plain-sum rules in order, then Neville
+_WIDE_BRANCHES = ("flat", "sign_flip", "travel", "few_octaves", "neville_rejected", "neville")
 
 
 def _extrapolate_wide(cum_sums, edges_right):
-    """Extrapolate cumulative panel sums to infinite wavenumber.
+    """Extrapolate rows of cumulative panel sums to infinite wavenumber.
 
     After the analytic tail subtractions the remaining truncation error
     decays like 1/k^2, so the sums at octave-spaced top edges (k_max,
     k_max/2, k_max/4, k_max/8) follow a low-order polynomial in 1/k;
     Neville extrapolation to 1/k = 0 removes the leading terms.  Octaves
     below k_max/8 are excluded: there the integrand is not yet in its
-    asymptotic regime and would poison the fit.
+    asymptotic regime and would poison the fit.  Returns the values and,
+    per row, the index into ``_WIDE_BRANCHES`` of the rule that set it.
     """
-    k_hi = edges_right[-1]
-    if abs(cum_sums[-1] - cum_sums[len(cum_sums) // 2]) < 1e-11 * max(abs(cum_sums[-1]), 1e-30):
-        return cum_sums[-1]
+    c = np.asarray(cum_sums, dtype=float)
+    rows, n = c.shape
+    last = c[:, -1]
+    mag = np.maximum(np.abs(last), 1e-30)
+    plain = [np.abs(last - c[:, n // 2]) < 1e-11 * mag]
     # the power-law model only describes integrands whose panel increments
     # decay regularly; sign flips in the increments, or a net change over
     # the top octave much smaller than the traversed variation, mean the
     # integrand oscillates in wavenumber (traveling fronts) and the
     # converged plain sum is the honest answer
-    tail_inc = np.diff(cum_sums[-7:])
-    if tail_inc.size >= 3:
-        signs = np.sign(tail_inc[np.abs(tail_inc) > 1e-14 * max(abs(cum_sums[-1]), 1e-30)])
-        if signs.size >= 2 and np.any(signs[1:] != signs[:-1]):
-            return cum_sums[-1]
+    tail_inc = np.diff(c[:, -7:], axis=1)
+    significant = (np.abs(tail_inc) > 1e-14 * mag[:, None]) & (tail_inc.shape[1] >= 3)
+    plain.append(np.any(significant & (tail_inc > 0), axis=1)
+                 & np.any(significant & (tail_inc < 0), axis=1))
+    k_hi = edges_right[-1]
     i_half = int(np.argmin(np.abs(edges_right - 0.5 * k_hi)))
-    if i_half < len(cum_sums) - 2:
-        inc_top = np.diff(cum_sums[i_half:])
-        travel = float(np.sum(np.abs(inc_top)))
-        net = abs(cum_sums[-1] - cum_sums[i_half])
-        if travel > 0 and net < 0.5 * travel:
-            return cum_sums[-1]
-    idx = []
-    for kt in (k_hi, k_hi / 2.0, k_hi / 4.0, k_hi / 8.0):
-        if kt < edges_right[0]:
-            break
-        i = int(np.argmin(np.abs(edges_right - kt)))
-        if i not in idx:
-            idx.append(i)
-    if len(idx) < 3:
-        return cum_sums[-1]
-    u = [1.0 / edges_right[i] for i in idx]
-    s = [cum_sums[i] for i in idx]
-    value = _neville_at_zero(u, s)
-    if not np.isfinite(value) or abs(value - cum_sums[-1]) > 0.5 * max(abs(cum_sums[-1]), 1e-30) + 1e-12:
-        return cum_sums[-1]
-    return value
+    moved = np.sum(np.abs(np.diff(c[:, i_half:], axis=1)), axis=1)
+    plain.append((i_half < n - 2) & (moved > 0) & (np.abs(last - c[:, i_half]) < 0.5 * moved))
+    idx = list(dict.fromkeys(int(np.argmin(np.abs(edges_right - k_hi / 2.0**j)))
+                             for j in range(4) if k_hi / 2.0**j >= edges_right[0]))
+    plain.append(np.full(rows, len(idx) < 3))
+    value = last
+    if len(idx) >= 3:
+        u, p = 1.0 / edges_right[idx], c[:, idx]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for level in range(1, len(idx)):  # Neville's scheme towards 1/k = 0
+                p = p[:, 1:] + (p[:, 1:] - p[:, :-1]) * u[level:] / (u[:-level] - u[level:])
+            value = p[:, 0]
+            plain.append(~np.isfinite(value) | (np.abs(value - last) > 0.5 * mag + 1e-12))
+    # the first rule that applies wins; a row that meets none keeps Neville's value
+    branch = np.argmax(plain + [np.ones(rows, dtype=bool)], axis=0)
+    return np.where(branch == _WIDE_BRANCHES.index("neville"), value, last), branch
 
 
 def _gauss_panels(edges, n_nodes):
@@ -323,33 +314,8 @@ def _fit_algebraic_tail(k_top, r_top, q):
     return a
 
 
-def _reduce_panels(f_panels, nodes, weights, x, n_seg_a, edges, spec, complete=False):
-    """Accelerated reduction of precomputed integrand panels at one position.
-
-    Integrates cos(kx) Re f - sin(kx) Im f over the panels.  ``complete``
-    marks integrands already negligible at the range end (mollified ones);
-    their plain sum is exact and extrapolation models would only fit the
-    cutoff shape.  An epsilon table that does not settle falls back to the
-    plain sum.
-    """
-    phase = nodes * x
-    panel_vals = np.sum(weights * np.cos(phase) * f_panels.real, axis=1)
-    if np.iscomplexobj(f_panels):
-        panel_vals -= np.sum(weights * np.sin(phase) * f_panels.imag, axis=1)
-    head = np.sum(panel_vals[:n_seg_a])
-    tail_sums = head + np.cumsum(panel_vals[n_seg_a:])
-    k_edges_b = edges[n_seg_a + 1:]
-    osc_phase = abs(x) * (edges[-1] - edges[n_seg_a])
-    if complete:
-        value = tail_sums[-1]
-    elif osc_phase >= 6.0 * np.pi:
-        window = 2 * spec.acceleration_order + 1
-        value, spread = _wynn_epsilon(tail_sums[-window:] if len(tail_sums) > window else tail_sums)
-        if not np.isfinite(value) or spread > 1e-3 * max(np.max(np.abs(tail_sums)), 1e-30):
-            value = tail_sums[-1]
-    else:
-        value = _extrapolate_wide(tail_sums, k_edges_b)
-    return value / np.pi  # Hermitian integrand: (1/2pi) * 2 Re
+# entries of one (position x node) cosine table, which bounds a reduction chunk
+_CHUNK_ENTRIES = 1 << 16
 
 
 class _PanelLayout:
@@ -381,42 +347,82 @@ class _PanelLayout:
         n_top = (len(self.edges) - 1 - self.n_seg_a) // 3 * spec.nodes_per_halfperiod
         self._top = slice(-max(n_top, 2 * spec.nodes_per_halfperiod), None)
 
-    def reduce(self, f_vals, x, tail=None, mollifier_width=None):
-        """Invert integrand values at ``flat_nodes`` onto positions ``x``.
+    def reduce(self, f_rows, x, tails=None, mollifier_width=None):
+        """Invert rows of integrand values at ``flat_nodes`` onto positions ``x``.
 
-        ``f_vals`` may be complex (Hermitian integrand, signed ``x``).  A
-        ``tail`` model is subtracted and its transform added back.  A
+        ``f_rows`` (rows, nodes) may be complex (Hermitian integrand, signed
+        ``x``); the result is (rows, len(x)).  ``tails`` gives one model (or
+        None) per row, subtracted and its transform added back.  A
         ``mollifier_width`` multiplies the integrand by a Gaussian of that
         width; once it has died by k_max (k_max * width > 5) the integrand
         is complete: its plain panel sum is the value, and extrapolation or
         a fitted tail would only model the cutoff shape.  Otherwise a fitted
-        a/(k^2+q^2) tail is subtracted and added back.  Raises
-        QuadratureError if a value is not finite.
+        a/(k^2+q^2) tail is subtracted from each row and added back.  One
+        array pass over rows x positions, in chunks of positions: a chunk's
+        cosine table (and sine table for complex integrands) serves every
+        row, and its panel sums are accelerated before the next chunk
+        starts.  Raises QuadratureError if a value is not finite.
         """
+        nodes = self.flat_nodes
+        f_rows = np.array(f_rows, ndmin=2)
         if mollifier_width:
-            f_vals = f_vals * np.exp(-0.5 * (self.flat_nodes * mollifier_width) ** 2)
+            f_rows *= np.exp(-0.5 * (nodes * mollifier_width) ** 2)
         complete = bool(mollifier_width) and self.k_max * mollifier_width > 5.0
-        if tail is not None:
-            f_vals = f_vals - tail.integrand(self.flat_nodes)
-        a_alg = 0.0 if complete else _fit_algebraic_tail(
-            self.flat_nodes[self._top], f_vals[self._top], self.q)
-        f_vals = f_vals - a_alg / (self.flat_nodes**2 + self.q**2)
-        panels = f_vals.reshape(self.nodes.shape)
-        values = np.array([
-            _reduce_panels(panels, self.nodes, self.weights, xv, self.n_seg_a,
-                           self.edges, self.spec, complete=complete)
-            + a_alg * np.exp(-self.q * abs(xv)) / (2.0 * self.q)
-            for xv in x])
-        if tail is not None:
-            values += tail.transform(x)
-        if not np.all(np.isfinite(values)):
+        tails = tails or [None] * len(f_rows)
+        for row, tail in zip(f_rows, tails):
+            if tail is not None:
+                row -= tail.integrand(nodes)
+        a_alg = np.array([0.0 if complete else _fit_algebraic_tail(
+            nodes[self._top], row[self._top], self.q) for row in f_rows])
+        f_rows = f_rows - a_alg[:, None] / (nodes**2 + self.q**2)
+        panel_f = f_rows.reshape(len(f_rows), *self.nodes.shape)
+        w_re = self.weights * panel_f.real
+        w_im = self.weights * panel_f.imag if np.iscomplexobj(panel_f) else None
+        x = np.asarray(x, dtype=float)
+        values = np.empty((len(f_rows), x.size))
+        step = max(1, _CHUNK_ENTRIES // nodes.size)
+        for lo in range(0, x.size, step):
+            phase = np.multiply.outer(x[lo:lo + step], self.nodes)
+            panels = np.einsum("xpn,tpn->txp", np.cos(phase), w_re)
+            if w_im is not None:
+                panels -= np.einsum("xpn,tpn->txp", np.sin(phase), w_im)
+            values[:, lo:lo + step] = self._accelerate(panels, x[lo:lo + step], complete)
+        # Hermitian integrand: (1/2pi) * 2 Re
+        values = values / np.pi + a_alg[:, None] * np.exp(-self.q * np.abs(x)) / (2.0 * self.q)
+        for row, tail in zip(values, tails):
+            if tail is not None:
+                row += tail.transform(x)
+        finite = np.all(np.isfinite(values), axis=0)
+        if not np.all(finite):
             raise QuadratureError("half-line inversion gave a non-finite value",
-                                  panels=len(self.edges) - 1,
-                                  detail={"x": np.asarray(x)[~np.isfinite(values)]})
+                                  panels=len(self.edges) - 1, detail={"x": x[~finite]})
         return values
 
+    def _accelerate(self, panels, x, complete):
+        """Limits of panel sums (rows, positions, panels): the plain sum when
+        ``complete``, else Wynn's epsilon (plain sum where it does not settle)
+        where the uniform panels span three periods, else the wide rule."""
+        head = np.sum(panels[..., :self.n_seg_a], axis=-1)
+        sums = head[..., None] + np.cumsum(panels[..., self.n_seg_a:], axis=-1)
+        out = sums[..., -1].copy()
+        if complete:
+            return out
+        n_rows, n_sums = len(sums), sums.shape[-1]
+        wynn = np.abs(x) * (self.edges[-1] - self.edges[self.n_seg_a]) >= 6.0 * np.pi
+        if np.any(wynn):
+            s = sums[:, wynn].reshape(-1, n_sums)
+            value, spread = _wynn_epsilon(s[:, -(2 * self.spec.acceleration_order + 1):])
+            unsettled = ~np.isfinite(value) | (
+                spread > 1e-3 * np.maximum(np.max(np.abs(s), axis=1), 1e-30))
+            out[:, wynn] = np.where(unsettled, s[:, -1], value).reshape(n_rows, -1)
+        if not np.all(wynn):
+            value, _ = _extrapolate_wide(sums[:, ~wynn].reshape(-1, n_sums),
+                                         self.edges[self.n_seg_a + 1:])
+            out[:, ~wynn] = value.reshape(n_rows, -1)
+        return out
 
-def fourier_inversion(f, x, spec=None, k_c=1.0):
+
+def fourier_inversion(f, x, spec=None, k_c=1.0, mollifier_width=None):
     """Half-line Fourier inversion (1/pi) int_0^inf [cos(kx) Re f - sin(kx) Im f] dk.
 
     ``f`` is a vectorized integrand of a wavenumber array and may return
@@ -427,14 +433,16 @@ def fourier_inversion(f, x, spec=None, k_c=1.0):
     evaluated once at the layout's nodes and every position goes through
     the shared accelerated reduction.  ``k_c`` is the integrand's
     wavenumber scale: fine panels cover [0, k_c], and it enters the
-    automatic k_max.  ``spec.tail_mode`` is not read.  Raises
-    QuadratureError if a value is not finite.
+    automatic k_max.  ``spec.tail_mode`` is not read.  A
+    ``mollifier_width`` multiplies ``f`` by a Gaussian of that width (see
+    ``_PanelLayout.reduce``).  Raises QuadratureError if a value is not
+    finite.
     """
     spec = spec or QuadratureSpec()
     x_arr = np.asarray(x, dtype=float)
     x_flat = x_arr.ravel()
     layout = _PanelLayout(k_c, spec, *_layout_extent(spec, np.abs(x_flat), k_c))
-    values = layout.reduce(np.asarray(f(layout.flat_nodes)), x_flat)
+    values = layout.reduce(f(layout.flat_nodes), x_flat, mollifier_width=mollifier_width)[0]
     return float(values[0]) if x_arr.ndim == 0 else values.reshape(x_arr.shape)
 
 
@@ -481,14 +489,17 @@ class _EnergyLayout(_PanelLayout):
         """Layout for positions ``x_abs`` (see :func:`_layout_extent`)."""
         return cls(params, spec, *_layout_extent(spec, x_abs, critical_wavenumber(params)))
 
-    def reduce(self, u_hat_flat, x_abs, t, mollifier_width=None):
-        """Cosine-transform precomputed integrand values onto positions."""
+    def reduce(self, u_hat, x_abs, times, mollifier_width=None):
+        """Cosine-transform node values, one row per time, onto positions:
+        (len(times), nodes) -> (len(times), len(x_abs)); a scalar time maps
+        one row to one row."""
         # the analytic tail model describes the unmollified object
-        tail = (_tail_model_for(self.params, t)
-                if not mollifier_width and self.spec.tail_mode == "asymptotic_subtraction"
-                else None)
-        return super().reduce(np.asarray(u_hat_flat, dtype=float), x_abs, tail=tail,
-                              mollifier_width=mollifier_width)
+        tails = None
+        if not mollifier_width and self.spec.tail_mode == "asymptotic_subtraction":
+            tails = [_tail_model_for(self.params, t) for t in np.atleast_1d(times)]
+        values = super().reduce(np.asarray(u_hat, dtype=float), x_abs, tails=tails,
+                                mollifier_width=mollifier_width)
+        return values[0] if np.ndim(times) == 0 else values
 
 
 def _modal_density(x_abs, times, params, N, mode, spec, factors, mollifier_width=None):
@@ -496,16 +507,13 @@ def _modal_density(x_abs, times, params, N, mode, spec, factors, mollifier_width
 
     One layout and one batched decomposition serve every time; per time,
     ``factors(lam, t)`` gives the evolution factor of each (wavenumber,
-    mode) pair, the weighted mode sum gives the transformed density, and
-    one reduction maps it onto the positions.
+    mode) pair and the weighted mode sum gives the transformed density.
+    One reduction maps every time onto the positions.
     """
     layout = _EnergyLayout.for_positions(params, spec, x_abs)
     lam, w = _mode_weights_batch(layout.flat_nodes, params, N, mode)
-    values = np.empty((len(times), x_abs.size))
-    for it, t in enumerate(times):
-        u_hat = np.einsum("kn,kn->k", w, factors(lam, t)).real
-        values[it] = layout.reduce(u_hat, x_abs, t, mollifier_width=mollifier_width)
-    return values
+    u_hat = np.array([np.einsum("kn,kn->k", w, factors(lam, t)).real for t in times])
+    return layout.reduce(u_hat, x_abs, times, mollifier_width=mollifier_width)
 
 
 def energy_density(x_grid, times, params, N, mode="hermitian", spec=None,
@@ -584,22 +592,22 @@ def _closed_p1_integrand(k, t, params):
 
 
 def energy_density_closed_p1(x, t, params, spec=None):
-    """Closed-form two-moment energy density at one position.
+    """Closed-form two-moment energy density at positions ``x``.
 
     Evaluates the literal two-branch integrand (no eigensolver) on the
     same shared panel layout used by :func:`energy_density`, so the two
     routes agree to round-off wherever the closed form applies.
-    Normalized to unit mass (delta initial condition).
+    Normalized to unit mass (delta initial condition).  A scalar ``x``
+    returns a float, an array returns an array of its shape.
     """
     if t <= 0:
         raise DomainError("t must be positive")
     spec = spec or QuadratureSpec()
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    x_abs = np.abs(x_arr)
+    x_arr = np.asarray(x, dtype=float)
+    x_abs = np.abs(x_arr.ravel())
     layout = _EnergyLayout.for_positions(params, spec, x_abs)
-    u_hat = _closed_p1_integrand(layout.flat_nodes, t, params)
-    vals = layout.reduce(u_hat, x_abs, t)
-    return float(vals[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
+    vals = layout.reduce(_closed_p1_integrand(layout.flat_nodes, t, params), x_abs, t)
+    return float(vals[0]) if x_arr.ndim == 0 else vals.reshape(x_arr.shape)
 
 
 def ballistic_density(x, mu, mu0, t, params, spec=None, mollifier_width=0.01):
@@ -610,23 +618,23 @@ def ballistic_density(x, mu, mu0, t, params, spec=None, mollifier_width=0.01):
     of width ``mollifier_width`` (the profile itself is a delta at
     x = v mu0 t when alpha = 1).  Mass over x equals
     E_alpha(-sigma_t t^alpha) for any mollifier width.  Without a ``spec``
-    the integration range ends at k_max = 16 / mollifier_width.
+    the integration range ends at k_max = 16 / mollifier_width.  A scalar
+    ``x`` returns a float, an array returns an array of its shape; one
+    panel layout serves all positions of one call.
     """
     if t <= 0:
         raise DomainError("t must be positive")
     if abs(mu - mu0) > 1e-12:
-        return 0.0
+        return 0.0 if np.ndim(x) == 0 else np.zeros(np.shape(x))
     alpha, v, sig_t = params.alpha, params.v, params.sigma_t
     eps = mollifier_width
 
     # at 16/eps the mollifier is below e^-32 over the top half of the range,
     # so the plain panel sum is the value (the automatic k_max can end early)
     spec = spec or QuadratureSpec(k_max=16.0 / eps if eps > 0 else None)
-    k_c = critical_wavenumber(params)
-    x_flat = np.array([float(x)])
-    layout = _PanelLayout(k_c, spec, *_layout_extent(spec, np.abs(x_flat), k_c))
-    z = -(1j * layout.flat_nodes * v * mu0 + sig_t) * t**alpha
-    return float(layout.reduce(mittag_leffler(alpha, z), x_flat, mollifier_width=eps)[0])
+    return fourier_inversion(
+        lambda k: mittag_leffler(alpha, -(1j * k * v * mu0 + sig_t) * t**alpha),
+        x, spec, critical_wavenumber(params), mollifier_width=eps)
 
 
 def source_vector(mu0, params, N):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import sici, wofz
@@ -11,7 +11,14 @@ from fracrte.errors import DomainError, QuadratureError
 from fracrte.spectral import assemble_operator, critical_wavenumber, section5_medium
 from fracrte.specfun import mittag_leffler
 from fracrte.transport import (
+    _CHUNK_ENTRIES,
+    _WIDE_BRANCHES,
     QuadratureSpec,
+    _EnergyLayout,
+    _extrapolate_wide,
+    _mode_weights_batch,
+    _PanelLayout,
+    _wynn_epsilon,
     ballistic_coefficients,
     ballistic_density,
     energy_density,
@@ -121,6 +128,7 @@ class TestFourierInversion:
         assert got.shape == xs.shape
         assert np.max(np.abs(got - np.exp(-(xs**2) / 4) / (2 * np.sqrt(np.pi)))) < 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x", [0.0, 1.0])
     def test_non_finite_integrand_raises(self, x):
         with pytest.raises(QuadratureError):
@@ -196,6 +204,34 @@ class TestEnergyDensity:
         expect = mittag_leffler(0.5, -(0.2**0.5)).real
         assert mass == pytest.approx(expect, abs=1e-4)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the hermitian-mode density has a signed tail past |x| = 8 (U(8) = -1.2e-3 at the "
+        "example), and near alpha = 0.95 at small t the 961-point grid misses the narrow "
+        "exact-mode profile (mass off by 1.3e-3 at alpha = 0.95, t = 0.02)"))
+    @settings(max_examples=20)
+    @given(alpha=st.floats(0.5, 0.95), sigma_a=st.floats(0.0, 1.0),
+           t=st.floats(0.02, 0.2), mode=st.sampled_from(["exact", "hermitian"]))
+    @example(alpha=0.5, sigma_a=0.0, t=0.125, mode="hermitian")  # mass 0.99816
+    def test_mass_law(self, alpha, sigma_a, t, mode):
+        # the bound of test_mass_with_absorption, over the order, the
+        # absorption, the time and both modes
+        from scipy.integrate import simpson
+
+        m = section5_medium(alpha, sigma_a=sigma_a)
+        xg = 8.0 * np.linspace(0, 1, 961) ** 2
+        df = energy_density(xg, [t], m, 1, mode=mode)
+        mass = 2.0 * simpson(df.values[0], x=xg)
+        expect = mittag_leffler(alpha, -sigma_a * t**alpha).real
+        assert mass == pytest.approx(expect, abs=1e-4)
+
+    @settings(max_examples=25)
+    @given(x=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=30),
+           t=st.floats(0.01, 0.2))
+    def test_even_in_position_property(self, medium, x, t):
+        n = len(x)
+        values = energy_density(np.concatenate((x, -np.array(x))), [t], medium, 1).values[0]
+        assert np.array_equal(values[:n], values[n:])
+
     def test_large_wavenumber_limit(self):
         # the above-critical integrand approaches the double-order
         # relaxation form at large k.  The agreement is in the oscillatory
@@ -256,16 +292,14 @@ class TestBallistic:
         m = section5_medium(1.0)
         t = 0.3
         xs = np.linspace(-1.0, 1.0, 801)
-        vals = np.array([ballistic_density(x, 0.5, 0.5, t, m, mollifier_width=0.02)
-                         for x in xs])
+        vals = ballistic_density(xs, 0.5, 0.5, t, m, mollifier_width=0.02)
         mass = np.trapezoid(vals, xs)
         assert mass == pytest.approx(np.exp(-m.sigma_t * t), abs=2e-3)
 
     def test_mass_fractional_order(self, medium):
         t = 0.1
         xs = np.linspace(-1.2, 1.2, 801)
-        vals = np.array([ballistic_density(x, 0.7, 0.7, t, medium, mollifier_width=0.02)
-                         for x in xs])
+        vals = ballistic_density(xs, 0.7, 0.7, t, medium, mollifier_width=0.02)
         mass = np.trapezoid(vals, xs)
         expect = mittag_leffler(0.5, -medium.sigma_t * t**0.5).real
         assert mass == pytest.approx(expect, abs=5e-3)
@@ -274,9 +308,15 @@ class TestBallistic:
         m = section5_medium(1.0)
         t, mu0 = 0.3, 0.5
         xs = np.linspace(0.0, 0.4, 81)
-        vals = np.array([ballistic_density(x, mu0, mu0, t, m, mollifier_width=0.02)
-                         for x in xs])
+        vals = ballistic_density(xs, mu0, mu0, t, m, mollifier_width=0.02)
         assert abs(xs[np.argmax(vals)] - mu0 * t) < 0.02
+
+    def test_array_positions_keep_shape(self, medium):
+        xs = np.array([[-0.1, 0.0], [0.05, 0.2]])
+        got = ballistic_density(xs, 0.7, 0.7, 0.1, medium)
+        assert got.shape == xs.shape
+        assert isinstance(ballistic_density(0.05, 0.7, 0.7, 0.1, medium), float)
+        assert np.array_equal(ballistic_density(xs, 0.3, 0.7, 0.1, medium), np.zeros(xs.shape))
 
     def test_off_direction_is_zero(self, medium):
         assert ballistic_density(0.1, 0.3, 0.7, 0.1, medium) == 0.0
@@ -322,3 +362,190 @@ class TestCollisionSplit:
                                     include_truncation_closure=False).c
         cf = evolve_coefficients(k, t, mu0, N, medium).c
         assert np.linalg.norm(cb + cs - cf) > 1e-4
+
+
+# -- scalar reference tables ----------------------------------------------
+# The list-based epsilon table and the scalar extrapolation that the array
+# reduction replaced, kept as oracles; each also names the rule it took.
+
+
+def _wynn_reference(sums):
+    s = [float(v) for v in sums]
+    n = len(s)
+    if n < 3:
+        return s[-1], np.inf, "short"
+    scale = max(max(abs(v) for v in s), 1e-300)
+    if max(s[-min(n, 5):]) - min(s[-min(n, 5):]) < 1e-13 * scale:
+        return s[-1], 0.0, "converged"
+    prev = [0.0] * (n + 1)
+    cur = list(s)
+    evens = [s[-1]]
+    degenerate = False
+    for col in range(1, n):
+        nxt = []
+        for m in range(n - col):
+            diff = cur[m + 1] - cur[m]
+            if abs(diff) < 1e-15 * scale:
+                nxt.append(prev[m + 1])
+                degenerate = True
+                continue
+            nxt.append(prev[m + 1] + 1.0 / diff)
+        prev, cur = cur, nxt
+        if col % 2 == 0 and cur:
+            evens.append(cur[-1])
+        if degenerate:
+            break
+    tail = evens[-3:] if len(evens) >= 3 else evens
+    spread = max(tail) - min(tail)
+    value = evens[-1]
+    if abs(value) > 3.0 * scale:
+        return s[-1], np.inf, "blown"
+    return value, spread, "degenerate" if degenerate else "table"
+
+
+def _neville_reference(u, s):
+    p = list(s)
+    n = len(p)
+    for level in range(1, n):
+        for i in range(n - level):
+            p[i] = p[i + 1] + (p[i + 1] - p[i]) * u[i + level] / (u[i] - u[i + level])
+    return p[0]
+
+
+def _extrapolate_wide_reference(cum_sums, edges_right):
+    k_hi = edges_right[-1]
+    if abs(cum_sums[-1] - cum_sums[len(cum_sums) // 2]) < 1e-11 * max(abs(cum_sums[-1]), 1e-30):
+        return cum_sums[-1], "flat"
+    tail_inc = np.diff(cum_sums[-7:])
+    if tail_inc.size >= 3:
+        signs = np.sign(tail_inc[np.abs(tail_inc) > 1e-14 * max(abs(cum_sums[-1]), 1e-30)])
+        if signs.size >= 2 and np.any(signs[1:] != signs[:-1]):
+            return cum_sums[-1], "sign_flip"
+    i_half = int(np.argmin(np.abs(edges_right - 0.5 * k_hi)))
+    if i_half < len(cum_sums) - 2:
+        inc_top = np.diff(cum_sums[i_half:])
+        travel = float(np.sum(np.abs(inc_top)))
+        net = abs(cum_sums[-1] - cum_sums[i_half])
+        if travel > 0 and net < 0.5 * travel:
+            return cum_sums[-1], "travel"
+    idx = []
+    for kt in (k_hi, k_hi / 2.0, k_hi / 4.0, k_hi / 8.0):
+        if kt < edges_right[0]:
+            break
+        i = int(np.argmin(np.abs(edges_right - kt)))
+        if i not in idx:
+            idx.append(i)
+    if len(idx) < 3:
+        return cum_sums[-1], "few_octaves"
+    value = _neville_reference([1.0 / edges_right[i] for i in idx], [cum_sums[i] for i in idx])
+    mag = max(abs(cum_sums[-1]), 1e-30)
+    if not np.isfinite(value) or abs(value - cum_sums[-1]) > 0.5 * mag + 1e-12:
+        return cum_sums[-1], "neville_rejected"
+    return value, "neville"
+
+
+def _wynn_cases(n, rng):
+    j = np.arange(1, n + 1)
+    rows = [
+        np.cumsum(0.5**j), np.cumsum((-0.7) ** j), np.cumsum((-1.0) ** j / j),
+        np.cumsum(np.cos(2.1 * j) / j**2),
+        1.0 + 1e-15 * rng.standard_normal(n),  # converged at rounding level
+        np.concatenate((np.cumsum(1.0 / j[: n // 2]), np.full(n - n // 2, 2.0))),
+        np.r_[np.cumsum(0.9**j)[:-2], [5.0, 5.0]],  # degenerate in the first column
+        np.cumsum((-1.0) ** j * np.exp(-0.05 * j)) + 1e-9 * j,
+    ]
+    for _ in range(40):
+        step = rng.uniform(-1.0, 1.0) ** rng.integers(1, 6)
+        rows.append(np.cumsum(rng.standard_normal(n) * np.abs(step) ** j) + rng.standard_normal())
+        rows.append(np.round(rng.standard_normal(n), 1))  # repeated sums
+    # sequences without a limit: about 2 % blow up
+    return np.concatenate((rows, rng.standard_normal((300, n))))
+
+
+class TestArrayReduction:
+    """The array reduction against the scalar tables, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 17])
+    def test_wynn_matches_scalar_table(self, n):
+        rows = _wynn_cases(n, np.random.default_rng(n))
+        value, spread = _wynn_epsilon(rows)
+        ref = [_wynn_reference(r) for r in rows]
+        assert np.array_equal(value, [r[0] for r in ref])
+        assert np.array_equal(spread, [r[1] for r in ref])
+        branches = {r[2] for r in ref}
+        assert branches == ({"short"} if n < 3 else
+                            {"converged", "degenerate", "blown", "table"})
+
+    def test_wynn_blowup_and_degenerate_column(self):
+        # a sequence with no limit gives an estimate far past the sums
+        # (blow-up fallback); an exact repeat stops the table early
+        rows = np.array([[0.9, 0.0, 2.0, 0.2, -0.6, -0.4, -1.1],
+                         [1.0, 2.0, 3.0, 3.0, 4.0, 4.5, 4.7]])
+        ref = [_wynn_reference(r) for r in rows]
+        assert [r[2] for r in ref] == ["blown", "degenerate"]
+        value, spread = _wynn_epsilon(rows)
+        assert np.array_equal(value, [r[0] for r in ref])
+        assert np.array_equal(spread, [r[1] for r in ref])
+
+    @pytest.mark.parametrize("edges", [np.linspace(10.0, 800.0, 80), np.linspace(300.0, 800.0, 40)])
+    def test_extrapolate_wide_matches_scalar(self, edges):
+        rng = np.random.default_rng(len(edges))
+        n = edges.size
+        half = np.arange(n) >= n // 2
+        rows = [
+            np.full(n, 0.3) + 1e-13 * (np.arange(n) == 0),  # flat
+            0.3 + np.cumsum(np.where(np.arange(n) % 2, 1e-3, -1e-3)) / (1 + np.arange(n)),  # flips
+            np.cumsum(np.where(half & (np.arange(n) < 0.8 * n), 1.0, -1.0)),  # travel
+            1e-3 + 10.0 / edges,  # Neville lands far from the plain sum
+            1.0 + 1.0 / edges**2 + 0.5 / edges**3,  # Neville
+            1.0 - 2.0 / edges**2,
+        ]
+        for _ in range(30):
+            rows.append(rng.standard_normal() + rng.standard_normal() / edges**rng.integers(1, 4)
+                        + 1e-6 * rng.standard_normal(n) * rng.integers(0, 2))
+        rows = np.array(rows)
+        value, branch = _extrapolate_wide(rows, edges)
+        ref = [_extrapolate_wide_reference(r, edges) for r in rows]
+        assert np.array_equal(value, [r[0] for r in ref])
+        assert [_WIDE_BRANCHES[b] for b in branch] == [r[1] for r in ref]
+        expected = ({"few_octaves", "flat", "sign_flip", "travel"} if edges[0] > 200 else
+                    {"flat", "sign_flip", "travel", "neville", "neville_rejected"})
+        assert {r[1] for r in ref} == expected
+
+
+@pytest.fixture(scope="module")
+def layout_case():
+    """One transport layout, two times, positions in both acceleration branches."""
+    m = section5_medium(0.5)
+    spec = QuadratureSpec(k_max=2000.0)
+    x = np.concatenate(([0.0, 1e-3, 2e-3, 4e-3], np.linspace(0.01, 2.0, 56)))
+    layout = _EnergyLayout.for_positions(m, spec, x)
+    lam, w = _mode_weights_batch(layout.flat_nodes, m, 1, "hermitian")
+    times = (0.01, 0.1)
+    u_hat = np.array([np.einsum("kn,kn->k", w, mittag_leffler(
+        0.5, -lam.ravel() * t**0.5).reshape(lam.shape)).real for t in times])
+    shifted = np.exp(-0.01 * layout.flat_nodes**2 - 0.3j * layout.flat_nodes)
+    full = layout.reduce(u_hat, x, times)
+    full_c = _PanelLayout.reduce(layout, shifted, np.r_[x, -x])
+    return layout, x, times, u_hat, shifted, full, full_c
+
+
+class TestReductionLocality:
+    """A reduced value depends on its position, not on its neighbours."""
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_subset_permutation_single(self, layout_case, data):
+        layout, x, times, u_hat, shifted, full, full_c = layout_case
+        assert x.size > 2 * (_CHUNK_ENTRIES // layout.flat_nodes.size)  # three chunks over x
+        n = x.size
+        subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        perm = data.draw(st.permutations(range(n)))
+        single = data.draw(st.integers(0, n - 1))
+        for idx in (subset, perm, [single]):
+            idx = np.array(idx)
+            assert np.array_equal(layout.reduce(u_hat, x[idx], times), full[:, idx])
+            signed = np.r_[x, -x][np.r_[idx, idx + n]]
+            assert np.array_equal(_PanelLayout.reduce(layout, shifted, signed),
+                                  full_c[:, np.r_[idx, idx + n]])
+        assert np.array_equal(layout.reduce(u_hat[1], x[[single]], times[1]), full[1, [single]])
