@@ -9,7 +9,8 @@ eigenvectors, and the Hermitian-weight expansion that uses conjugated
 eigenvector components (the classical normal-matrix formula).  They agree
 at k = 0 and asymptotically for large |k| but differ in between; both are
 kept because the closed-form benchmark solution is written in the
-Hermitian convention.
+Hermitian convention.  Eigenvalues are computed from the real similar
+matrix J^{-1} A J, J = diag(i^l), and so form exact conjugate pairs.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ class ModeDecomposition:
     conjugation).  ``defective_flag`` marks eigenvalue coalescence, where
     Q is numerically singular and the expansion must not be used; the
     left vectors of a flagged matrix are NaN.  A scalar wavenumber gives
-    float and bool fields, an array one arrays of its shape.
+    float and bool fields, an array one arrays of its shape.  Q = J Q_R with
+    Q_R real (see :func:`decompose`), so conjugate modes have conjugate weights.
     """
 
     k: float | np.ndarray
@@ -190,15 +192,22 @@ def defective_mask(lam, cond, norm):
 def decompose(op):
     """Full eigendecomposition of the operator with left eigenvectors.
 
-    One eigensolver call covers every stacked wavenumber.  A matrix is
-    defective only when eigenvalues coalesce AND the eigenvector basis
-    degenerates; repeated eigenvalues of the diagonal k = 0 operator keep
-    independent eigenvectors and are fine.
+    One real eigensolver call covers every stacked wavenumber: for the
+    unitary J = diag(i^l), R = J^{-1} A J has the diagonal of A, -c_l above
+    it and +c_l below it (A's couplings are i c_l), so R is real and exactly
+    similar to A.  Its complex eigenvalues come in exact conjugate pairs
+    with conjugate eigenvectors Q_R; Q = J Q_R has the same column norms
+    and condition number.  A matrix is defective only when eigenvalues
+    coalesce AND the eigenvector basis degenerates; repeated eigenvalues of
+    the diagonal k = 0 operator keep independent eigenvectors and are fine.
     """
+    # exact powers of i, whatever a complex power routine would round to
+    J = np.array([1, 1j, -1, -1j])[np.arange(op.entries.shape[-1]) % 4]
     try:
-        lam, Q = np.linalg.eig(op.entries)
+        lam, Q = np.linalg.eig((J.conj()[:, None] * op.entries * J).real)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigensolver failed at k={op.k}", k=op.k) from exc
+    lam, Q = lam.astype(complex), J[:, None] * Q
     norm = op.norm
     norm = np.where(norm > 0, norm, 1.0)
     cond = np.linalg.cond(Q)

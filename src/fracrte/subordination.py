@@ -137,13 +137,12 @@ def subordinated_energy_density(x_grid, times, params, N, spec=None):
         # nodes in the kernel's deep tail carry weight exactly 0
         live = kernel.weights != 0.0
         nodes, weights = kernel.nodes[live], kernel.weights[live]
-        lam_flat = lam.ravel()
-        acc = np.zeros(lam_flat.shape, dtype=complex)
-        chunk = max(1, _BLOCK_ENTRIES // lam_flat.size)
+        acc = np.zeros(lam.shape, dtype=complex)
+        chunk = max(1, _BLOCK_ENTRIES // lam.size)
         for start in range(0, nodes.size, chunk):
-            block = np.multiply.outer(lam_flat, -nodes[start:start + chunk])
+            block = np.multiply.outer(lam, -nodes[start:start + chunk])
             acc += np.exp(block, out=block) @ weights[start:start + chunk]
-        return acc.reshape(lam.shape)
+        return acc
 
     values = _modal_density(np.abs(x_grid), times, replace(params, alpha=1.0), N, "exact",
                             spec, factors, mollifier_width=6.0 / spec.k_max)

@@ -506,13 +506,20 @@ def _modal_density(x_abs, times, params, N, mode, spec, factors, mollifier_width
     """Energy density values, shape (len(times), len(x_abs)), from modal factors.
 
     One layout and one batched decomposition serve every time; per time,
-    ``factors(lam, t)`` gives the evolution factor of each (wavenumber,
-    mode) pair and the weighted mode sum gives the transformed density.
-    One reduction maps every time onto the positions.
+    ``factors(lam, t)`` gives the evolution factor of each mode in the 1-D
+    array ``lam`` and the weighted mode sum gives the transformed density.
+    Modes come in exact conjugate pairs with conjugate weights (see
+    :func:`~fracrte.spectral.decompose`), so only Im lam >= 0 is evaluated,
+    Im lam > 0 at twice its weight.  That needs factors(conj lam) =
+    conj factors(lam): true of the Mittag-Leffler factor and of any real
+    exp-kernel fold.  One reduction maps every time onto the positions.
     """
     layout = _EnergyLayout.for_positions(params, spec, x_abs)
     lam, w = _mode_weights_batch(layout.flat_nodes, params, N, mode)
-    u_hat = np.array([np.einsum("kn,kn->k", w, factors(lam, t)).real for t in times])
+    upper = lam.imag >= 0  # one mode of each conjugate pair, and every real mode
+    w = np.where(lam.imag > 0, 2 * w, w)[upper]
+    rows, lam = np.nonzero(upper)[0], lam[upper]
+    u_hat = np.array([np.bincount(rows, (w * factors(lam, t)).real, len(upper)) for t in times])
     return layout.reduce(u_hat, x_abs, times, mollifier_width=mollifier_width)
 
 
@@ -552,7 +559,7 @@ def energy_density(x_grid, times, params, N, mode="hermitian", spec=None,
         raise DomainError("times must be positive")
 
     def factors(lam, t):
-        return mittag_leffler(params.alpha, -(lam.ravel()) * t**params.alpha).reshape(lam.shape)
+        return mittag_leffler(params.alpha, -lam * t**params.alpha)
 
     values = _modal_density(np.abs(x_grid), times, params, N, mode,
                             spec or QuadratureSpec(), factors, mollifier_width)

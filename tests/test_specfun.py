@@ -1,21 +1,30 @@
 """Special-function contracts: frozen oracle values and identities."""
 
+from fractions import Fraction
+
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc, wofz
 
 from fracrte.errors import DomainError
 from fracrte.specfun import (
+    _ASYMPTOTIC_RADIUS,
+    _MIN_POLE_RAY_GAP,
+    _RAY_ANGLES,
+    _RTOL,
+    _asymptotic_attempt_radius,
     _stable_tail_series,
     f_alpha_half,
     m_wright,
     mittag_leffler,
     stable_density,
 )
+from fracrte.spectral import section5_medium
+from fracrte.transport import QuadratureSpec, _EnergyLayout, _mode_weights_batch
 
 # values frozen from a 50-digit compensated Taylor oracle
 E_HALF_AT_MINUS_ONE = 0.42758357615580700441
@@ -236,3 +245,133 @@ class TestArrayEvaluation:
     def test_stable_density_pointwise(self, alpha, log_t):
         t = 10.0 ** np.array(log_t)
         assert np.array_equal(stable_density(alpha, t), [stable_density(alpha, ti) for ti in t])
+
+
+def _ml_oracle(alpha, z, digits=32):
+    """E_alpha(z) from its Taylor series in mpmath, ``digits`` significant.
+
+    Terms grow to about exp(|z|^(1/alpha)) before they decay, so the working
+    precision adds that many digits for the cancellation.  When alpha = p/q
+    exactly with a small q, each residue class of the term index follows
+    Gamma(alpha (n + q) + 1) = Gamma(alpha n + 1) prod_{i=1..p} (alpha n + i),
+    so only the first q terms need a Gamma value.
+    """
+    peak = abs(complex(z)) ** (1.0 / alpha)
+    with mp.workdps(digits + 10 + int(peak / np.log(10.0))):
+        a, w = mp.mpf(alpha), mp.mpc(complex(z))
+        tol = mp.mpf(10) ** -(digits + 15)
+        ratio = Fraction(alpha)
+        if ratio.denominator <= 100:
+            p, q = ratio.numerator, ratio.denominator
+            terms = [w**j * mp.rgamma(a * j + 1) for j in range(q)]
+            w_q, total, n = w**q, mp.mpc(0), 0
+            while True:
+                total += mp.fsum(terms)
+                if n * alpha > peak and max(abs(t) for t in terms) < tol:
+                    return complex(total)
+                terms = [t * w_q / mp.fprod(a * (n + j) + i for i in range(1, p + 1))
+                         for j, t in enumerate(terms)]
+                n += q
+        total, power, n = mp.mpc(0), mp.mpc(1), 0
+        while True:
+            term = power * mp.rgamma(a * n + 1)
+            total += term
+            if n * alpha > peak and abs(term) < tol:
+                return complex(total)
+            power *= w
+            n += 1
+
+
+def _ml_boundary_points(alpha, boundary):
+    """Points just inside and just outside one switch of the evaluation route."""
+    if boundary in ("series", "asymptotic"):
+        edge = 1.0 if boundary == "series" else min(
+            _asymptotic_attempt_radius(alpha, _RTOL), _ASYMPTOTIC_RADIUS)
+        radii = edge * np.array([1.0 - 1e-3, 1.0 + 1e-3])
+        return (radii[:, None] * np.exp(1j * np.pi * np.array([0.3, 0.6, 0.95]))).ravel()
+    # the second ray serves poles within 2 * _MIN_POLE_RAY_GAP of the first
+    # ray's angle; put the pole just outside (first) or inside (second) that band
+    offset = 2 * _MIN_POLE_RAY_GAP + (1e-3 if boundary == "first_ray" else -1e-3)
+    theta_p = _RAY_ANGLES[0] + np.array([-offset, offset])
+    return 3.0 * np.exp(-1j * alpha * theta_p)
+
+
+def _ml_relative_error(alpha, z):
+    ref = np.array([_ml_oracle(alpha, zi) for zi in z])
+    return np.max(np.abs(mittag_leffler(alpha, z) - ref) / np.abs(ref))
+
+
+class TestMittagLefflerOracle:
+    """``mittag_leffler`` against a 32-digit Taylor sum, bound 1e-10 relative."""
+
+    @pytest.mark.parametrize("alpha, boundary", [
+        pytest.param(alpha, boundary, marks=pytest.mark.xfail(
+            strict=True, reason="the 0.75 pi ray misses by 1.3e-10 for a pole just "
+            "over 2 * _MIN_POLE_RAY_GAP from it"))
+        if (alpha, boundary) == (0.9, "first_ray") else (alpha, boundary)
+        for alpha in (0.5, 0.75, 0.9, 0.99)
+        for boundary in ("series", "asymptotic", "first_ray", "second_ray")])
+    def test_each_side_of_route_switch(self, alpha, boundary):
+        assert _ml_relative_error(alpha, _ml_boundary_points(alpha, boundary)) <= 1e-10
+
+    def test_transport_layout_arguments(self):
+        # -lambda t^alpha of the N = 15, alpha = 0.75 benchmark layout (161
+        # positions on [-2, 2]) at t = 0.05: the smallest, median and largest
+        # |z| of each route
+        alpha, t = 0.75, 0.05
+        medium = section5_medium(alpha)
+        layout = _EnergyLayout.for_positions(medium, QuadratureSpec(),
+                                             np.abs(np.linspace(-2.0, 2.0, 161)))
+        lam, _ = _mode_weights_batch(layout.flat_nodes, medium, 15, "exact")
+        z = np.unique(-lam[lam.imag >= 0] * t**alpha)
+        r = np.abs(z)
+        r_a = min(_asymptotic_attempt_radius(alpha, _RTOL), _ASYMPTOTIC_RADIUS)
+        near_ray = np.abs(np.abs(np.angle(z)) / alpha - _RAY_ANGLES[0]) < 2 * _MIN_POLE_RAY_GAP
+        routes = {"series": r <= 1, "asymptotic": r >= r_a,
+                  "first_ray": (r > 1) & (r < r_a) & ~near_ray,
+                  "second_ray": (r > 1) & (r < r_a) & near_ray}
+        picks = []
+        for route, mask in routes.items():
+            ordered = z[mask][np.argsort(r[mask])]
+            assert ordered.size > 0, route
+            picks.extend(ordered[[0, ordered.size // 2, -1]])
+        assert _ml_relative_error(alpha, np.array(picks)) <= 1e-10
+
+    @pytest.mark.xfail(strict=True, reason="the 0.75 pi ray loses accuracy for poles just "
+                       "over 2 * _MIN_POLE_RAY_GAP from it (2.0e-10 here)")
+    def test_first_ray_near_band_edge(self):
+        # a point of the benchmark layout at t = 0.1; its pole sits 0.106 rad
+        # from the 0.75 pi ray
+        assert _ml_relative_error(0.75, np.array([-0.4397 - 1.5522j])) <= 1e-10
+
+
+@st.composite
+def _ml_region_points(draw):
+    """(alpha, z) drawn from each evaluation route of ``mittag_leffler``."""
+    alpha = draw(st.floats(0.3, 1.0))
+    r_a = min(_asymptotic_attempt_radius(alpha, _RTOL), _ASYMPTOTIC_RADIUS)
+    route = draw(st.sampled_from(["series", "contour", "second_ray", "asymptotic"]))
+    if route == "series":
+        r = draw(st.floats(0.0, 1.0))
+    elif route == "asymptotic":
+        r = draw(st.floats(r_a, 60.0))
+    else:
+        r = draw(st.floats(1.0, r_a, exclude_min=True, exclude_max=True))
+    if route == "second_ray":
+        gap = 2 * _MIN_POLE_RAY_GAP
+        theta = alpha * (_RAY_ANGLES[0]
+                         + draw(st.floats(-gap, gap, exclude_min=True, exclude_max=True)))
+    else:
+        theta = draw(st.floats(0.0, np.pi))
+    return alpha, r * np.exp(1j * theta)
+
+
+class TestMittagLefflerConjugateSymmetry:
+    @given(point=_ml_region_points())
+    def test_conjugate_argument(self, point):
+        # _modal_density evaluates one mode of each conjugate pair and
+        # relies on E(conj z) = conj E(z)
+        alpha, z = point
+        value = mittag_leffler(alpha, z)
+        assume(np.isfinite(value))
+        assert abs(mittag_leffler(alpha, np.conj(z)) - np.conj(value)) <= 1e-13 * abs(value)

@@ -1,10 +1,12 @@
 """Operator assembly, eigenstructure, and matrix Mittag-Leffler action."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from fracrte.errors import ConfigurationError, DefectiveOperatorError, DomainError
 from fracrte.legendre import PhaseFunction
@@ -13,6 +15,7 @@ from fracrte.spectral import (
     assemble_operator,
     critical_wavenumber,
     decompose,
+    defective_mask,
     exact_mode_weights,
     h_coeff,
     hermitian_matrix_action,
@@ -156,6 +159,15 @@ class TestBatchedDecomposition:
             if not one.defective_flag:
                 assert np.array_equal(dec.left_vectors[i], one.left_vectors)
 
+    @given(N=st.integers(1, 15))
+    def test_modes_agree_at_zero_wavenumber(self, N):
+        m = section5_medium(alpha=0.5)
+        _, w_exact = _mode_weights_batch(np.array([0.0]), m, N, "exact")
+        _, w_herm = _mode_weights_batch(np.array([0.0]), m, N, "hermitian")
+        assert np.max(np.abs(w_exact - w_herm)) <= 1e-14
+        assert abs(np.sum(w_exact) - 1.0) <= 1e-14
+        assert abs(np.sum(w_herm) - 1.0) <= 1e-14
+
     def test_scalar_fields_stay_scalar(self, medium):
         dec = decompose(assemble_operator(1.0, medium, 3))
         assert isinstance(dec.k, float)
@@ -270,3 +282,77 @@ class TestHermitianWeights:
         a = ml_matrix_action(dec, 0.3, 0.5, c0)
         b = hermitian_matrix_action(dec, 0.3, 0.5, c0)
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def _decompose_complex_reference(op):
+    """The complex route: one complex eigensolver call on A(k) itself.
+
+    Returns eigenvalues, exact and hermitian component-0 weights (NaN
+    where defective) and the defect flags.
+    """
+    lam, Q = np.linalg.eig(op.entries)
+    norm = np.where(op.norm > 0, op.norm, 1.0)
+    defective = defective_mask(lam, np.linalg.cond(Q), norm)
+    Qinv = np.full_like(Q, np.nan)
+    Qinv[~defective] = np.linalg.inv(Q[~defective])
+    exact = Q[..., 0, :] * Qinv[..., :, 0]
+    hermitian = np.abs(Q[..., 0, :]) ** 2 / np.sum(np.abs(Q) ** 2, axis=-2)
+    return lam, exact, hermitian, defective
+
+
+class TestRealForm:
+    """``decompose`` solves the real similar matrix J^-1 A J, J = diag(i^l)."""
+
+    @given(
+        N=st.integers(1, 15),
+        extra=st.lists(st.floats(0.0, 2e3), min_size=0, max_size=10),
+    )
+    def test_matches_complex_reference(self, N, extra):
+        m = section5_medium(alpha=0.5)
+        ks = np.array([0.0, critical_wavenumber(m) * (1 + 1e-7)] + extra)
+        op = assemble_operator(ks, m, N)
+        dec = decompose(op)
+        lam_ref, exact_ref, herm_ref, defective_ref = _decompose_complex_reference(op)
+        assert np.array_equal(dec.defective_flag, defective_ref)
+        exact = exact_mode_weights(dec) if not dec.defective_flag.any() else None
+        herm = hermitian_mode_weights(dec)
+        for i in range(len(ks)):
+            lam = dec.eigenvalues[i]
+            # exact conjugate pairs; every other eigenvalue exactly real
+            upper, lower = lam[lam.imag > 0], lam[lam.imag < 0]
+            assert np.array_equal(np.sort(upper.conj()), np.sort(lower))
+            cost = np.abs(lam[:, None] - lam_ref[i][None, :])
+            row, col = linear_sum_assignment(cost)
+            assert np.max(cost[row, col]) <= 1e-12 * op.norm[i]
+            assert np.max(np.abs(herm[i, row] - herm_ref[i, col])) <= 1e-10
+            if exact is not None:
+                # exact weights grow like 1/|lam_1 - lam_2| near coalescence
+                # (~1.1e3 at N = 1, k_c (1 + 1e-7)), so the bound is relative there
+                scale = np.maximum(np.abs(exact_ref[i, col]), 1.0)
+                assert np.max(np.abs(exact[i, row] - exact_ref[i, col]) / scale) <= 1e-10
+
+    def test_near_coalescence_weights_against_high_precision(self, medium, k_c):
+        # just past k_c the real form keeps the exact weights (~1.1e3) to
+        # 1.7e-10 of a 50-digit eigendecomposition; the complex route
+        # misses by 6.7e-8 there
+        op = assemble_operator(k_c * (1 + 1e-7), medium, 1)
+        dec = decompose(op)
+        with mp.workdps(50):
+            lam_hp, vec_hp = mp.eig(mp.matrix(op.entries.tolist()))
+            left_hp = mp.inverse(vec_hp)
+            ref = {complex(lam_hp[j]): complex(vec_hp[0, j] * left_hp[j, 0]) for j in range(2)}
+        for lam, w in zip(dec.eigenvalues, exact_mode_weights(dec)):
+            nearest = min(ref, key=lambda mu: abs(mu - lam))
+            assert abs(w - ref[nearest]) <= 1e-9
+
+    def test_right_vectors_are_exact_image_of_real_vectors(self, medium):
+        # Q = J Q_R with J = diag(i^l) exact, so J^-1 Q is Q_R bit for bit:
+        # real columns for real eigenvalues, conjugate columns across a pair
+        dec = decompose(assemble_operator(np.array([0.3, 3.1, 40.0]), medium, 6))
+        J = np.array([1, 1j, -1, -1j])[np.arange(7) % 4]
+        for lam, Q in zip(dec.eigenvalues, dec.right_vectors):
+            Q_R = J.conj()[:, None] * Q
+            assert np.all(Q_R[:, lam.imag == 0].imag == 0.0)
+            for n in np.flatnonzero(lam.imag > 0):
+                partners = np.flatnonzero(lam == lam[n].conj())
+                assert any(np.array_equal(Q_R[:, p], Q_R[:, n].conj()) for p in partners)

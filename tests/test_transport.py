@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import sici, wofz
 
+import fracrte.subordination as subordination
+import fracrte.transport as transport
 from fracrte.errors import DomainError, QuadratureError
 from fracrte.spectral import assemble_operator, critical_wavenumber, section5_medium
 from fracrte.specfun import mittag_leffler
@@ -549,3 +551,47 @@ class TestReductionLocality:
             assert np.array_equal(_PanelLayout.reduce(layout, shifted, signed),
                                   full_c[:, np.r_[idx, idx + n]])
         assert np.array_equal(layout.reduce(u_hat[1], x[[single]], times[1]), full[1, [single]])
+
+
+class TestConjugatePairHalving:
+    """``_modal_density`` evaluates one mode of each conjugate pair at twice
+    its weight; that equals the sum over all N + 1 modes."""
+
+    @staticmethod
+    def _capture(monkeypatch, module):
+        """Record the modal factors and the transformed density of one call."""
+        seen = {}
+        real_modal, real_reduce = transport._modal_density, _EnergyLayout.reduce
+
+        def modal(x_abs, times, params, N, mode, spec, factors, mollifier_width=None):
+            seen.update(params=params, N=N, mode=mode, times=times, factors=factors)
+            return real_modal(x_abs, times, params, N, mode, spec, factors, mollifier_width)
+
+        def reduce(self, u_hat, *args, **kwargs):
+            seen.update(nodes=self.flat_nodes, u_hat=np.array(u_hat))
+            return real_reduce(self, u_hat, *args, **kwargs)
+
+        monkeypatch.setattr(module, "_modal_density", modal)
+        monkeypatch.setattr(_EnergyLayout, "reduce", reduce)
+        return seen
+
+    @staticmethod
+    def _assert_equals_full_sum(seen):
+        lam, w = _mode_weights_batch(seen["nodes"], seen["params"], seen["N"], seen["mode"])
+        assert np.any(lam.imag > 0) and np.any(lam.imag == 0)  # both kinds of mode occur
+        full = np.array([np.einsum("kn,kn->k", w, seen["factors"](
+            lam.ravel(), t).reshape(lam.shape)).real for t in seen["times"]])
+        assert np.max(np.abs(seen["u_hat"] - full)) <= 1e-12 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("mode, N, alpha", [("exact", 7, 0.75), ("hermitian", 3, 0.5)])
+    def test_mittag_leffler_factors(self, monkeypatch, mode, N, alpha):
+        seen = self._capture(monkeypatch, transport)
+        energy_density(np.linspace(-1.0, 1.0, 9), (0.05, 0.2), section5_medium(alpha), N,
+                       mode=mode)
+        self._assert_equals_full_sum(seen)
+
+    def test_subordination_fold(self, monkeypatch):
+        seen = self._capture(monkeypatch, subordination)
+        subordination.subordinated_energy_density(np.linspace(-1.0, 1.0, 5), (0.05,),
+                                                  section5_medium(0.9), 3)
+        self._assert_equals_full_sum(seen)
