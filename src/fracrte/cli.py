@@ -274,12 +274,13 @@ def _run_validate(config):
 
     params = config.medium()
     k_c = critical_wavenumber(params)
+    half_d = 0.5 * params.sigma_s * (1.0 - params.g)
     ks = np.linspace(0.05, 3.0, 12) * k_c
     ok_eig = True
     for k in ks:
         dec = decompose(assemble_operator(float(k), params, 1))
         s = np.sqrt(complex(1 - (k / k_c) ** 2))
-        lam_ref = sorted([(k_c / np.sqrt(3)) * (1 + s), (k_c / np.sqrt(3)) * (1 - s)],
+        lam_ref = sorted([params.sigma_a + half_d * (1 + s), params.sigma_a + half_d * (1 - s)],
                          key=lambda v: (round(v.real, 9), v.imag))
         lam_got = sorted(dec.eigenvalues, key=lambda v: (round(v.real, 9), v.imag))
         ok_eig &= max(abs(a - b) for a, b in zip(lam_got, lam_ref)) < 1e-9

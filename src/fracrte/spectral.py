@@ -94,9 +94,9 @@ def section5_medium(alpha, sigma_a=0.0):
 
 
 def critical_wavenumber(params):
-    """k_c = (sqrt(3)/2) sigma_s (1 - g), the eigenvalue-coalescence point
-    of the two-moment (N=1) operator."""
-    return 0.5 * np.sqrt(3.0) * params.sigma_s * (1.0 - params.g)
+    """k_c = (sqrt(3)/2) sigma_s (1 - g) / v, the eigenvalue-coalescence
+    point of the two-moment (N=1) operator."""
+    return 0.5 * np.sqrt(3.0) * params.sigma_s * (1.0 - params.g) / params.v
 
 
 def h_coeff(l, params):

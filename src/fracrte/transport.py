@@ -575,25 +575,24 @@ def energy_density(x_grid, times, params, N, mode="hermitian", spec=None,
 def _closed_p1_integrand(k, t, params):
     """Two-branch transformed energy density of the two-moment system.
 
-    Below the critical wavenumber the two real relaxation modes enter
-    with weights (1 -+ s)/2, s = sqrt(1 - (k/k_c)^2); above it the real
-    part of one member of the complex-conjugate mode pair.
+    The eigenvalues are sigma_a + (d/2)(1 -+ s), d = sigma_s (1 - g),
+    s = sqrt(1 - (k/k_c)^2).  Below the critical wavenumber the two real
+    relaxation modes enter with weights (1 -+ s)/2; above it the real part
+    of one member of the complex-conjugate mode pair.
     """
     alpha = params.alpha
     k_c = critical_wavenumber(params)
+    half_d = 0.5 * params.sigma_s * (1.0 - params.g)
     k = np.asarray(k, dtype=float)
     out = np.empty(k.shape, dtype=float)
     below = k <= k_c
     if np.any(below):
-        kb = k[below]
-        s = np.sqrt(np.maximum(1.0 - (kb / k_c) ** 2, 0.0))
-        root = np.sqrt(np.maximum(k_c**2 - kb**2, 0.0))
-        ep = mittag_leffler(alpha, -(k_c + root) / np.sqrt(3.0) * t**alpha).real
-        em = mittag_leffler(alpha, -(k_c - root) / np.sqrt(3.0) * t**alpha).real
+        s = np.sqrt(np.maximum(1.0 - (k[below] / k_c) ** 2, 0.0))
+        ep = mittag_leffler(alpha, -(params.sigma_a + half_d * (1.0 + s)) * t**alpha).real
+        em = mittag_leffler(alpha, -(params.sigma_a + half_d * (1.0 - s)) * t**alpha).real
         out[below] = 0.5 * ((1.0 - s) * ep + (1.0 + s) * em)
     if np.any(~below):
-        ka = k[~below]
-        lam = (k_c - 1j * np.sqrt(ka**2 - k_c**2)) / np.sqrt(3.0)
+        lam = params.sigma_a + half_d * (1.0 - 1j * np.sqrt((k[~below] / k_c) ** 2 - 1.0))
         out[~below] = mittag_leffler(alpha, -lam * t**alpha).real
     return out
 

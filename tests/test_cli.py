@@ -123,6 +123,14 @@ def test_validate_subcommand_passes():
     assert main(["validate", "--alpha", "0.5", "--t", "0.05"]) == 0
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("flags", [["--v", "2"], ["--sigma-a", "1"]])
+def test_validate_off_default_medium(flags, capsys):
+    # the two-moment eigenvalue check holds for any speed and absorption
+    assert main(["validate", "--alpha", "0.5", "--t", "0.05"] + flags) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["transport", "--N", "0"],
     ["transport", "--g", "1.5"],

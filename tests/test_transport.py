@@ -1,5 +1,7 @@
 """Fourier inversion machinery, energy density, and the collision split."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -188,6 +190,17 @@ class TestEnergyDensity:
         closed = energy_density_closed_p1(xs, t, medium, spec=spec)
         assert np.max(np.abs(df.values[0] - closed)) < 1e-10
 
+    @pytest.mark.parametrize("v, sigma_a", [(2.0, 0.0), (1.0, 1.0)])
+    def test_closed_form_off_default_medium(self, v, sigma_a):
+        # the closed form carries the speed and the absorption
+        m = replace(section5_medium(0.5, sigma_a=sigma_a), v=v)
+        spec = QuadratureSpec(k_max=300.0)
+        xs = np.array([0.0, 0.05, 0.3, 1.0, 2.0])
+        t = 0.05
+        got = energy_density(xs, [t], m, 1, mode="hermitian", spec=spec).values[0]
+        closed = energy_density_closed_p1(xs, t, m, spec=spec)
+        assert np.max(np.abs(got - closed)) <= 1e-9 * np.max(np.abs(got))
+
     def test_mass_conservation_both_modes(self, medium):
         xg = 8.0 * np.linspace(0, 1, 961) ** 2
         from scipy.integrate import simpson
@@ -205,6 +218,18 @@ class TestEnergyDensity:
         mass = 2.0 * simpson(df.values[0], x=xg)
         expect = mittag_leffler(0.5, -(0.2**0.5)).real
         assert mass == pytest.approx(expect, abs=1e-4)
+
+    def test_mass_at_small_mean_free_path(self):
+        # criterion 10's diffusive scaling v = 1/eps, sigma_s = 10/eps^2
+        # taken to eps = 1/16, where every wavenumber scale is k_c ~ 1/eps
+        from scipy.integrate import simpson
+
+        eps = 1.0 / 16.0
+        m = replace(section5_medium(0.5), v=1.0 / eps, sigma_s=10.0 / eps**2)
+        xg = 8.0 * np.linspace(0, 1, 961) ** 2
+        df = energy_density(xg, [0.5], m, 5, mode="exact")
+        mass = 2.0 * simpson(df.values[0], x=xg)
+        assert mass == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "the hermitian-mode density has a signed tail past |x| = 8 (U(8) = -1.2e-3 at the "
@@ -287,6 +312,24 @@ class TestEnergyDensity:
             ulp = rng.choice([-1.0, 1.0], u_hat.size) * 2.0**-52
             moved = layout.reduce(u_hat * (1.0 + ulp), x, t) - base
             assert np.max(np.abs(moved)) <= 1e-10 * np.max(np.abs(base))
+
+
+class TestSpeedScaling:
+    @settings(max_examples=15)
+    @given(log_v=st.floats(0.0, np.log(8.0)), t=st.floats(0.02, 0.2),
+           y_min=st.floats(0.01, 0.016), y=st.lists(st.floats(0.0, 2.0), max_size=14),
+           mode=st.sampled_from(["exact", "hermitian"]))
+    def test_density_scales_with_speed(self, log_v, t, y_min, y, mode):
+        # U(x, t; v) = U(x/v, t; 1) / v on the default medium.  The smallest
+        # nonzero |x|/v is at most 0.016, below 0.133/8, so 40/min|x| sets
+        # k_max at both speeds and the layout at v is the one at v = 1
+        # divided by v.  Measured over 150 random draws: at most 2.0e-9.
+        v = np.exp(log_v)
+        m = section5_medium(0.5)
+        y = np.concatenate(([0.0, y_min], y_min + np.array(y)))
+        got = energy_density(y * v, [t], replace(m, v=v), 1, mode=mode).values[0]
+        ref = energy_density(y, [t], m, 1, mode=mode).values[0] / v
+        assert np.max(np.abs(got - ref)) <= 2e-8 * np.max(np.abs(got))
 
 
 class TestBallistic:
