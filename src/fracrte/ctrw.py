@@ -7,6 +7,13 @@ probabilities (xi_s, 1 - xi_t, xi_a).  Scattering off a truncated kernel
 column that dips negative samples |p| and carries a signed weight, so
 weighted histograms converge to the signed-kernel transport solution.
 
+One renewal loop advances a block of walkers: arrays holding only the
+live walkers (their ids, positions, directions, weights and clocks) draw
+one wait each, record the pre-event state of those whose wait spans an
+observation time, take one event each, and are compacted in place by a
+boolean mask that keeps id order.  Randomness is drawn in the order
+waits, event uniforms, phase samples, which fixes the stream for a seed.
+
 Simulation is deterministic for a fixed seed regardless of how work is
 chunked: every block of walkers owns a counter-based Philox stream keyed
 by (seed, block index).
@@ -99,68 +106,25 @@ def sample_waiting_time(alpha, tau, rng, n=None):
     return float(t[0]) if squeeze else t
 
 
-class _Walkers:
-    """A block of live walkers at the origin with directions ``mu``.
+def _collide(x, mu, weight, cp, pf, rng):
+    """Apply one renewal event to each walker, updating the arrays in place.
 
-    Position, direction, clock, alive flag and weight are parallel arrays
-    updated in place.  ``weight`` carries the signed importance factor
-    accumulated by scattering off kernel columns with negative lobes; it
-    stays exactly 1 while the sampled columns are non-negative.  The
-    ``snap_*`` arrays, one row per observation time, hold each walker's
-    state at that time (position after its last event at or before it).
+    With probability xi_s the direction is resampled from the kernel column
+    (position unchanged, weight times the column's signed factor), with
+    probability 1 - xi_t the walker moves by mu * r (direction unchanged),
+    and with probability xi_a it is absorbed (state unchanged).  The event
+    uniforms are drawn before the phase samples.  Returns the absorbed mask.
     """
-
-    def __init__(self, mu, t_obs=()):
-        self.mu = np.asarray(mu, dtype=float)
-        m = self.mu.size
-        self.x, self.clock = np.zeros(m), np.zeros(m)
-        self.alive = np.ones(m, dtype=bool)
-        self.weight = np.ones(m)
-        self.t_obs = t_obs
-        self.snap_x = np.zeros((len(t_obs), m))
-        self.snap_w = np.zeros((len(t_obs), m))
-        self.snap_alive = np.zeros((len(t_obs), m), dtype=bool)
-
-    def observe(self, idx, start, end):
-        """Snapshot walkers ``idx`` whose waiting interval [start, end) holds
-        an observation time; call before the event changes their state."""
-        for it, t_o in enumerate(self.t_obs):
-            cidx = idx[(start <= t_o) & (end > t_o)]
-            self.snap_x[it, cidx] = self.x[cidx]
-            self.snap_w[it, cidx] = self.weight[cidx]
-            self.snap_alive[it, cidx] = True
-
-
-def _renewal_step(walkers, idx, cp, pf, rng):
-    """Advance the walkers at indices ``idx`` by one renewal event each.
-
-    Each clock advances by a sampled waiting time (observation times
-    crossed by it snapshot the pre-event state), then exactly one of three
-    things happens: with probability xi_s the direction is resampled from
-    the kernel column (position unchanged), with probability 1 - xi_t the
-    walker moves by mu * r (direction unchanged), and with probability
-    xi_a it is absorbed.  Randomness is drawn in that order (waiting
-    times, event uniforms, phase samples), which fixes the stream for a
-    seed.  Returns the new clocks of the stepped walkers.
-    """
-    if not np.all(walkers.alive[idx]):
-        raise DomainError("cannot step a dead walker")
-    start = walkers.clock[idx]
-    end = start + sample_waiting_time(cp.alpha, cp.tau, rng, n=idx.size)
-    walkers.observe(idx, start, end)
-    walkers.clock[idx] = end
-    u = rng.random(idx.size)
+    u = rng.random(x.size)
     scatter = u < cp.xi_s
-    absorb = (u >= cp.xi_s) & (u < cp.xi_t)
-    sc_idx = idx[scatter]
-    if sc_idx.size:
-        mu_new, wfac = phase_sample_batch(pf, walkers.mu[sc_idx], rng)
-        walkers.mu[sc_idx] = mu_new
-        walkers.weight[sc_idx] *= wfac
-    mv_idx = idx[~scatter & ~absorb]
-    walkers.x[mv_idx] += walkers.mu[mv_idx] * cp.r
-    walkers.alive[idx[absorb]] = False
-    return end
+    absorbed = (u >= cp.xi_s) & (u < cp.xi_t)
+    if np.any(scatter):
+        mu_new, wfac = phase_sample_batch(pf, mu[scatter], rng)
+        mu[scatter] = mu_new
+        weight[scatter] *= wfac
+    move = ~scatter & ~absorbed
+    x[move] += mu[move] * cp.r
+    return absorbed
 
 
 @dataclass(frozen=True)
@@ -245,12 +209,32 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed, pf=None):
 
 
 def _run_block(m, t_obs, cp, pf, rng):
-    """Renewal loop for one walker block."""
-    walkers = _Walkers(rng.uniform(-1.0, 1.0, size=m), t_obs)
+    """Renewal loop for one block of m walkers starting at the origin.
+
+    Returns ``snap_x``, ``snap_w`` and ``snap_alive``, one row per
+    observation time and one column per walker id.
+    """
+    mu = rng.uniform(-1.0, 1.0, size=m)
+    ids = np.arange(m)
+    x, weight, clock = np.zeros(m), np.ones(m), np.zeros(m)
+    snap_x = np.zeros((t_obs.size, m))
+    snap_w = np.zeros_like(snap_x)
+    snap_alive = np.zeros(snap_x.shape, dtype=bool)
     t_end = float(t_obs[-1])
-    idx = np.flatnonzero(walkers.clock <= t_end)
-    while idx.size:
-        # the active set only shrinks: dead walkers and clocks past t_end never rejoin
-        end = _renewal_step(walkers, idx, cp, pf, rng)
-        idx = idx[walkers.alive[idx] & (end <= t_end)]
-    return walkers.snap_x, walkers.snap_w, walkers.snap_alive
+    while ids.size:
+        end = clock + sample_waiting_time(cp.alpha, cp.tau, rng, n=ids.size)
+        for it, t_o in enumerate(t_obs):
+            seen = (clock <= t_o) & (end > t_o)
+            at = ids[seen]
+            snap_x[it, at] = x[seen]
+            snap_w[it, at] = weight[seen]
+            snap_alive[it, at] = True
+        keep = ~_collide(x, mu, weight, cp, pf, rng) & (end <= t_end)
+        # compact into the front of the block's own buffers: fresh arrays
+        # every step fragment the heap and raise the peak RSS
+        n = np.count_nonzero(keep)
+        clock[:n] = end[keep]
+        for a in (ids, x, mu, weight):
+            a[:n] = a[keep]
+        ids, x, mu, weight, clock = ids[:n], x[:n], mu[:n], weight[:n], clock[:n]
+    return snap_x, snap_w, snap_alive

@@ -49,18 +49,8 @@ def legendre_eval(l, mu):
     mu_arr = np.asarray(mu, dtype=float)
     if np.any(np.abs(mu_arr) > 1.0 + 1e-14):
         raise DomainError("argument mu must lie in [-1, 1]")
-    scalar = mu_arr.ndim == 0
-    mu_arr = np.atleast_1d(mu_arr)
-    p_prev = np.ones_like(mu_arr)
-    if l == 0:
-        out = p_prev
-    else:
-        p_cur = mu_arr.copy()
-        for ell in range(1, l):
-            p_next = ((2 * ell + 1) * mu_arr * p_cur - ell * p_prev) / (ell + 1)
-            p_prev, p_cur = p_cur, p_next
-        out = p_cur
-    return float(out[0]) if scalar else out
+    out = _legendre_table(l, mu_arr.ravel())[l].reshape(mu_arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _legendre_table(l_max, mu):

@@ -460,18 +460,17 @@ def stable_density(alpha, t):
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"stable density requires alpha in (0, 1), got {alpha}")
+    if alpha == 0.5:
+        return f_alpha_half(t)
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0
     t_flat = np.atleast_1d(t_arr).ravel()
     if np.any(t_flat <= 0) or not np.all(np.isfinite(t_flat)):
         raise DomainError("argument t must be finite and > 0")
-    if alpha == 0.5:
-        out = t_flat ** (-1.5) * np.exp(-0.25 / t_flat) / (2.0 * np.sqrt(np.pi))
-    else:
-        out, ok = _stable_tail_series(alpha, t_flat)
-        out = np.maximum(out, 0.0)
-        if not np.all(ok):
-            out[~ok] = _stable_zolotarev(alpha, t_flat[~ok])
+    out, ok = _stable_tail_series(alpha, t_flat)
+    out = np.maximum(out, 0.0)
+    if not np.all(ok):
+        out[~ok] = _stable_zolotarev(alpha, t_flat[~ok])
     out = out.reshape(t_arr.shape) if not scalar else out[0]
     return float(out) if scalar else out
 

@@ -15,7 +15,7 @@ known large-k limit is optionally subtracted and its transform added back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,25 +131,18 @@ def _decompose_displaced(k, params, N):
 
     Flagged wavenumbers are re-decomposed at k + 1e-7 max(k_c, 1) * attempt
     for up to five attempts, a shift invisible at quadrature accuracy.
+    Every attempt decomposes the whole array; unflagged entries keep their
+    offset, so their values do not change.
     """
     shift = 1e-7 * max(critical_wavenumber(params), 1.0)
     k = np.asarray(k, dtype=float)
-    dec = decompose(assemble_operator(k, params, N))
-    for attempt in range(1, 6):
-        bad = dec.defective_flag
-        if not np.any(bad):
+    offset = np.zeros(k.shape)
+    for attempt in range(6):
+        dec = decompose(assemble_operator(k + offset, params, N))
+        if not np.any(dec.defective_flag):
             return dec
-        if k.ndim == 0:
-            dec = decompose(assemble_operator(k + shift * attempt, params, N))
-            continue
-        redo = decompose(assemble_operator(k[bad] + shift * attempt, params, N))
-        parts = {f.name: np.array(getattr(dec, f.name)) for f in fields(dec)}
-        for name, part in parts.items():
-            part[bad] = getattr(redo, name)
-        dec = type(dec)(**parts)
-    if np.any(dec.defective_flag):
-        raise QuadratureError(f"could not displace off defective point near k={k}")
-    return dec
+        offset = np.where(dec.defective_flag, shift * (attempt + 1), offset)
+    raise QuadratureError(f"could not displace off defective point near k={k}")
 
 
 def evolve_coefficients(k, t, mu0, N, params, mode="exact"):

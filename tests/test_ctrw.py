@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from fracrte.ctrw import (
-    _renewal_step,
-    _Walkers,
+    _collide,
+    _run_block,
     map_params,
     sample_waiting_time,
     simulate_density,
 )
 from fracrte.errors import DomainError, ScaleError
-from fracrte.legendre import PhaseFunction
+from fracrte.legendre import PhaseFunction, phase_sample_batch
 from fracrte.spectral import MediumParams, section5_medium
 from fracrte.specfun import mittag_leffler
 
@@ -69,6 +69,17 @@ class TestWaitingTimes:
         slope = np.polyfit(np.log(t[mask]), np.log(surv), 1)[0]
         assert abs(slope + 0.5) < 0.05
 
+    def test_clock_plus_wait_non_decreasing(self, medium):
+        # non-decreasing: the heavy-tailed sampler can produce waits that
+        # underflow to zero against a large accumulated clock
+        cp = map_params(medium, 1e-4)
+        rng = np.random.default_rng(5)
+        clock = np.zeros(100)
+        for _ in range(200):
+            end = clock + sample_waiting_time(cp.alpha, cp.tau, rng, n=clock.size)
+            assert np.all(end >= clock)
+            clock = end
+
     def test_domain(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
@@ -77,45 +88,53 @@ class TestWaitingTimes:
             sample_waiting_time(0.5, -1.0, rng)
 
 
+def _fresh(n, mu0):
+    """Positions, directions and weights of n walkers at the origin."""
+    return np.zeros(n), np.full(n, mu0), np.ones(n)
+
+
 class TestStep:
     def test_event_frequencies(self, medium):
         cp = map_params(medium, 1e-4)
         rng = np.random.default_rng(3)
         n = 100_000
-        walkers = _Walkers(np.full(n, 0.3))
-        _renewal_step(walkers, np.arange(n), cp, medium.phase, rng)
-        assert np.all(walkers.alive)  # xi_a = 0 here
-        moved = walkers.x != 0.0
-        assert np.all(walkers.mu[moved] == 0.3)
-        assert walkers.x[moved] == pytest.approx(np.full(moved.sum(), 0.3 * cp.r))
+        x, mu, weight = _fresh(n, 0.3)
+        absorbed = _collide(x, mu, weight, cp, medium.phase, rng)
+        assert not np.any(absorbed)  # xi_a = 0 here
+        moved = x != 0.0
+        assert np.all(mu[moved] == 0.3)
+        assert x[moved] == pytest.approx(np.full(moved.sum(), 0.3 * cp.r))
         for frac, expect in ((np.mean(~moved), cp.xi_s), (np.mean(moved), 1 - cp.xi_t)):
             sig = np.sqrt(expect * (1 - expect) / n)
             assert abs(frac - expect) < 3.5 * sig
 
-    def test_absorption_and_dead_walker(self):
+    def test_absorption_leaves_state(self):
         m = MediumParams(alpha=0.5, v=1.0, sigma_s=1.0, sigma_a=8.0,
                          phase=PhaseFunction.isotropic())
         cp = map_params(m, 1e-2)
         rng = np.random.default_rng(4)
-        walkers = _Walkers(np.full(500, 0.5))
-        _renewal_step(walkers, np.arange(500), cp, m.phase, rng)
-        dead = np.flatnonzero(~walkers.alive)
-        if not dead.size:
+        x, mu, weight = _fresh(500, 0.5)
+        absorbed = _collide(x, mu, weight, cp, m.phase, rng)
+        if not np.any(absorbed):
             pytest.fail("no absorption in 500 strongly absorbing events")
-        with pytest.raises(DomainError):
-            _renewal_step(walkers, dead[:1], cp, m.phase, rng)
+        assert np.all(x[absorbed] == 0.0)
+        assert np.all(mu[absorbed] == 0.5)
+        assert np.all(weight[absorbed] == 1.0)
 
     def test_clock_monotone(self, medium):
-        # non-decreasing: the heavy-tailed sampler can produce waits that
-        # underflow to zero against a large accumulated clock
+        # each walker's renewal intervals [clock, end) tile [0, death): with
+        # no absorption every walker is seen at every observation time, and
+        # with absorption a walker missing at one time stays missing later
+        t_obs = np.array([0.001, 0.004, 0.01, 0.03, 0.05])
         cp = map_params(medium, 1e-4)
-        rng = np.random.default_rng(5)
-        walkers = _Walkers(np.full(100, 0.1))
-        idx = np.arange(100)
-        for _ in range(200):
-            before = walkers.clock.copy()
-            _renewal_step(walkers, idx, cp, medium.phase, rng)
-            assert np.all(walkers.clock >= before)
+        _, _, alive = _run_block(2000, t_obs, cp, medium.phase, np.random.default_rng(5))
+        assert np.all(alive)
+        m = MediumParams(alpha=0.5, v=1.0, sigma_s=1.0, sigma_a=8.0,
+                         phase=PhaseFunction.isotropic())
+        cp = map_params(m, 1e-4)
+        _, _, alive = _run_block(2000, t_obs, cp, m.phase, np.random.default_rng(5))
+        assert np.all(alive[1:] <= alive[:-1])
+        assert 0 < alive[-1].sum() < alive[0].sum() < 2000
 
     def test_mean_direction_after_scattering(self, medium):
         cp = map_params(medium, 1e-4)
@@ -124,13 +143,118 @@ class TestStep:
         n = 50_000
         acc = np.empty(0)
         while acc.size < n:
-            walkers = _Walkers(np.full(n, mu_prime))
-            _renewal_step(walkers, np.arange(n), cp, medium.phase, rng)
-            acc = np.concatenate((acc, walkers.mu[walkers.x == 0.0]))
+            x, mu, weight = _fresh(n, mu_prime)
+            _collide(x, mu, weight, cp, medium.phase, rng)
+            acc = np.concatenate((acc, mu[x == 0.0]))
         acc = acc[:n]
         est = np.mean(acc)
         expect = 0.9 * mu_prime
         assert abs(est - expect) < 3.5 * np.std(acc) / np.sqrt(len(acc))
+
+
+# -- reference oracle: the renewal loop over full-size arrays stepped through an index array --
+
+
+class _Walkers:
+    """A block of live walkers at the origin with directions ``mu``.
+
+    Position, direction, clock, alive flag and weight are parallel arrays
+    updated in place.  The ``snap_*`` arrays, one row per observation time,
+    hold each walker's state at that time.
+    """
+
+    def __init__(self, mu, t_obs=()):
+        self.mu = np.asarray(mu, dtype=float)
+        m = self.mu.size
+        self.x, self.clock = np.zeros(m), np.zeros(m)
+        self.alive = np.ones(m, dtype=bool)
+        self.weight = np.ones(m)
+        self.t_obs = t_obs
+        self.snap_x = np.zeros((len(t_obs), m))
+        self.snap_w = np.zeros((len(t_obs), m))
+        self.snap_alive = np.zeros((len(t_obs), m), dtype=bool)
+
+    def observe(self, idx, start, end):
+        for it, t_o in enumerate(self.t_obs):
+            cidx = idx[(start <= t_o) & (end > t_o)]
+            self.snap_x[it, cidx] = self.x[cidx]
+            self.snap_w[it, cidx] = self.weight[cidx]
+            self.snap_alive[it, cidx] = True
+
+
+def _renewal_step(walkers, idx, cp, pf, rng):
+    if not np.all(walkers.alive[idx]):
+        raise DomainError("cannot step a dead walker")
+    start = walkers.clock[idx]
+    end = start + sample_waiting_time(cp.alpha, cp.tau, rng, n=idx.size)
+    walkers.observe(idx, start, end)
+    walkers.clock[idx] = end
+    u = rng.random(idx.size)
+    scatter = u < cp.xi_s
+    absorb = (u >= cp.xi_s) & (u < cp.xi_t)
+    sc_idx = idx[scatter]
+    if sc_idx.size:
+        mu_new, wfac = phase_sample_batch(pf, walkers.mu[sc_idx], rng)
+        walkers.mu[sc_idx] = mu_new
+        walkers.weight[sc_idx] *= wfac
+    mv_idx = idx[~scatter & ~absorb]
+    walkers.x[mv_idx] += walkers.mu[mv_idx] * cp.r
+    walkers.alive[idx[absorb]] = False
+    return end
+
+
+def _run_block_reference(m, t_obs, cp, pf, rng):
+    walkers = _Walkers(rng.uniform(-1.0, 1.0, size=m), t_obs)
+    t_end = float(t_obs[-1])
+    idx = np.flatnonzero(walkers.clock <= t_end)
+    while idx.size:
+        end = _renewal_step(walkers, idx, cp, pf, rng)
+        idx = idx[walkers.alive[idx] & (end <= t_end)]
+    return walkers.snap_x, walkers.snap_w, walkers.snap_alive
+
+
+def _stream_position(rng):
+    """The Philox counter and buffer: equal only after the same number of draws."""
+    st = rng.bit_generator.state
+    return (st["state"]["counter"].tolist(), st["buffer"].tolist(), st["buffer_pos"],
+            st["has_uint32"], st["uinteger"])
+
+
+# (medium, tau, observation times)
+RENEWAL_CASES = {
+    "ctrw_workload": (MediumParams(alpha=0.9, v=1.0, sigma_s=9.0, sigma_a=1.0,
+                                   phase=PhaseFunction.linear(0.9)), 1e-4, (0.02, 0.05)),
+    "signed_kernel": (section5_medium(0.5), 1e-4, (0.01, 0.02, 0.05)),
+    "isotropic_absorbing": (MediumParams(alpha=0.5, v=1.0, sigma_s=1.0, sigma_a=8.0,
+                                         phase=PhaseFunction.isotropic()), 1e-2, (0.5,)),
+    "exponential_waits": (MediumParams(alpha=1.0, v=1.0, sigma_s=9.0, sigma_a=1.0,
+                                       phase=PhaseFunction.linear(0.9)), 1e-3, (0.05,)),
+    "degree_two_kernel": (MediumParams(alpha=0.75, v=1.0, sigma_s=5.0, sigma_a=0.5,
+                                       phase=PhaseFunction([1.0, 1.2, 0.6])), 1e-2,
+                          (0.02, 0.05, 0.1)),
+}
+
+
+class TestRunBlockMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 7, 23])
+    @pytest.mark.parametrize("case", sorted(RENEWAL_CASES))
+    def test_bit_identical(self, case, seed):
+        params, tau, t_obs = RENEWAL_CASES[case]
+        cp = map_params(params, tau)
+        t_obs = np.asarray(t_obs)
+        rng_new = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        rng_ref = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        got = _run_block(3000, t_obs, cp, params.phase, rng_new)
+        want = _run_block_reference(3000, t_obs, cp, params.phase, rng_ref)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert _stream_position(rng_new) == _stream_position(rng_ref)
+        snap_x, snap_w, snap_alive = got
+        assert np.any(snap_alive[-1]) and np.any(snap_x[-1] != 0.0)
+        if case == "signed_kernel":
+            assert np.any(snap_w[snap_alive] != 1.0)
+        if params.sigma_a > 0:
+            assert not np.all(snap_alive[-1])
 
 
 class TestSimulateDensity:

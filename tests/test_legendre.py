@@ -23,8 +23,20 @@ class TestLegendreEval:
 
     def test_bounded_by_one(self):
         mu = np.linspace(-1, 1, 201)
+        grid = mu[:200].reshape(4, 5, 10)
         for l in range(0, 20):
             assert np.max(np.abs(legendre_eval(l, mu))) <= 1.0 + 1e-14
+            p = legendre_eval(l, grid)
+            assert p.shape == grid.shape
+            assert np.array_equal(p.ravel(), legendre_eval(l, mu[:200]))
+
+    def test_matches_two_row_recurrence_bitwise(self):
+        mu = np.linspace(-1, 1, 1001)
+        for l in (1, 2, 7, 30):
+            p_prev, p_cur = np.ones_like(mu), mu.copy()
+            for k in range(1, l):
+                p_prev, p_cur = p_cur, ((2 * k + 1) * mu * p_cur - k * p_prev) / (k + 1)
+            assert np.array_equal(legendre_eval(l, mu), p_cur)
 
     def test_three_term_recurrence_residual(self):
         mu = np.linspace(-1, 1, 101)
