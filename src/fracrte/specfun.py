@@ -14,6 +14,8 @@ exp(-sqrt(s)).
 All functions are pure and accept scalars or numpy arrays in the main
 argument; they are safe to call concurrently.  Every step runs on arrays,
 so a point's value does not depend on the other points of the call.
+``scipy.special`` is imported inside the series that need Gamma values,
+not with the module, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.special import gammaln, rgamma
 
 from .errors import ConvergenceError, DomainError
 
@@ -77,6 +78,8 @@ def _neumaier_sum_inplace(total, comp, term):
 
 def _ml_series(alpha, z, rtol, max_terms):
     """Taylor series with compensated accumulation, vectorized over z."""
+    from scipy.special import rgamma
+
     z = np.asarray(z, dtype=complex)
     total = np.ones_like(z)
     comp = np.zeros_like(z)
@@ -105,6 +108,8 @@ def _ml_asymptotic(alpha, z, rtol, max_terms=220):
     exponential term exp(z**(1/alpha))/alpha is included exactly on the
     sheet |arg z| <= alpha*pi where the resolvent pole exists.
     """
+    from scipy.special import rgamma
+
     z = np.asarray(z, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         expo = np.where(
@@ -278,6 +283,8 @@ def _m_wright_series(nu, x, rtol, max_terms):
     the active set; the per-point operation order does not depend on the
     other points.
     """
+    from scipy.special import rgamma
+
     eps_ld = float(np.finfo(np.longdouble).eps)
     values = np.empty(x.shape)
     loss = np.ones(x.shape, dtype=bool)
@@ -341,6 +348,8 @@ def _stable_tail_series(alpha, t, rtol=1e-12, max_terms=700):
     below 1e-7 of the sum.  Points whose magnitude overflows or that do not
     stop within ``max_terms`` are not ok.
     """
+    from scipy.special import gammaln
+
     eps_ld = float(np.finfo(np.longdouble).eps)
     values = np.zeros(t.shape)
     ok = np.zeros(t.shape, dtype=bool)

@@ -58,12 +58,17 @@ class TestBenchmarkDifferences:
         assert not out.exists()
 
 
-def test_summarise_counts_ties_for_neither():
-    specs = [{"name": "solve_s", "better": "lower"}, {"name": "rate", "better": "higher"}]
+SPECS = [{"name": "solve_s", "better": "lower", "bound": 0.25},
+         {"name": "rate", "better": "higher", "bound": 0.25}]
 
-    def run(solve, rate, correct=True):
-        return {"failed": 0, "attempted": 3, "correct": correct,
-                "metrics": {"solve_s": {"value": solve}, "rate": {"value": rate}}}
+
+def run(solve, rate=1.0, correct=True, failed=0, attempted=3):
+    return {"failed": failed, "attempted": attempted, "correct": correct,
+            "metrics": {"solve_s": {"value": solve}, "rate": {"value": rate}}}
+
+
+def test_summarise_counts_ties_for_neither():
+    specs = SPECS
 
     runs = {"parent": [run(2.0, 1.0), run(2.0, 1.0), run(2.0, 1.0)],
             "change": [run(1.0, 2.0), run(2.0, 1.0), run(3.0, 0.5, correct=False)]}
@@ -75,3 +80,51 @@ def test_summarise_counts_ties_for_neither():
     assert out["solve_s"]["per_pair"] == [[2.0, 1.0], [2.0, 2.0], [2.0, 3.0]]
     assert out["solve_s"]["median_ratio"] == 1.0
     json.dumps(out)
+
+
+def _verdicts(parent, change, name="solve_s"):
+    runs = {"parent": [run(p, p) for p in parent], "change": [run(c, c) for c in change]}
+    out = bench_pairs.summarise(runs, list(range(len(parent))), SPECS)[name]
+    return out["gain"], out["worse"], out["unresolved"]
+
+
+PARENT = [2.0, 2.1, 1.9, 2.05, 1.95, 2.0, 2.2, 1.8, 2.1, 1.9]  # quartiles 1.9 and 2.1
+
+
+class TestVerdicts:
+    def test_gain_needs_nine_tenths_of_the_pairs(self):
+        assert _verdicts(PARENT, [p - 0.5 for p in PARENT]) == (True, False, False)
+        # eight wins of ten are too few, however large the median difference
+        assert _verdicts(PARENT, [1.0] * 8 + [3.0, 3.0]) == (False, False, False)
+
+    def test_gain_needs_more_than_the_parent_spread(self):
+        # every pair won, but the medians differ by 0.1, less than the spread 0.2
+        assert _verdicts(PARENT, [p - 0.1 for p in PARENT])[0] is False
+
+    def test_worse_beyond_the_bound(self):
+        assert _verdicts(PARENT, [p * 1.3 for p in PARENT]) == (False, True, False)
+        assert _verdicts(PARENT, [p * 1.2 for p in PARENT]) == (False, False, False)
+
+    def test_higher_is_better(self):
+        assert _verdicts(PARENT, [p + 0.5 for p in PARENT], "rate") == (True, False, False)
+        assert _verdicts(PARENT, [p * 0.7 for p in PARENT], "rate") == (False, True, False)
+
+    def test_unresolved_when_the_parent_spreads_past_the_bound(self):
+        wide = [1.0, 3.0] * 5  # quartiles 1 and 3 around a median of 2
+        assert _verdicts(wide, [2.0] * 10) == (False, False, True)
+        # unless every change run beats every parent run
+        assert _verdicts(wide, [0.9] * 10) == (False, False, False)
+
+    def test_gain_needs_correct_runs_and_no_larger_failed_share(self):
+        def gain(failed, attempted, correct=True):
+            runs = {"parent": [run(p, failed=1, attempted=10) for p in PARENT],
+                    "change": [run(p - 0.5, failed=failed, attempted=attempted,
+                                   correct=correct) for p in PARENT]}
+            return bench_pairs.summarise(runs, list(range(10)), SPECS)["solve_s"]["gain"]
+
+        assert gain(1, 10) and gain(0, 10)
+        # more failed calls, but the same share of more attempted ones
+        assert gain(2, 20)
+        assert not gain(2, 10)
+        assert not gain(11, 100)  # 110 of 1000 against 10 of 100
+        assert not gain(0, 10, correct=False)

@@ -108,14 +108,18 @@ class TestRun:
         assert out.returncode == 0
         assert "transport" in out.stdout
 
-    def test_import_skips_scipy_integrate(self):
-        # no route needs scipy.integrate, and importing it slows every CLI start
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import fracrte.cli, sys; print('scipy.integrate' in sys.modules)"],
-            capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+    def test_import_skips_scipy_integrate(self, tmp_path):
+        # no route needs scipy.integrate, and importing it or scipy.special
+        # slows every CLI start; ctrw uses neither
+        probe = "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)"
+        ctrw = ["ctrw", "--n-walkers", "500", "--t", "0.01", "--n-x", "5",
+                "--output-path", str(tmp_path)]
+        for code in ("import fracrte.cli, sys; " + probe,
+                     f"import sys; from fracrte.cli import main; main({ctrw!r}); " + probe):
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.strip().splitlines()[-1] == "False False"
+        assert len(list(tmp_path.iterdir())) == 1
 
 
 @pytest.mark.slow

@@ -1,8 +1,13 @@
 """Random-walk parameter map, waiting-time law, events, and histograms."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from fracrte import ctrw
 from fracrte.ctrw import (
     _collide,
     _run_block,
@@ -79,6 +84,28 @@ class TestWaitingTimes:
             end = clock + sample_waiting_time(cp.alpha, cp.tau, rng, n=clock.size)
             assert np.all(end >= clock)
             clock = end
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [None, 1, 7, 4099])
+    def test_matches_formula_bit_for_bit(self, alpha, n):
+        # the in-place evaluation against the formula written out on fresh arrays
+        rng_new = np.random.Generator(np.random.Philox(key=[5, 1]))
+        rng_ref = np.random.Generator(np.random.Philox(key=[5, 1]))
+        tau = 1e-4
+        got = sample_waiting_time(alpha, tau, rng_new, n=n)
+        u = rng_ref.random(1 if n is None else n)
+        u[u == 0.0] = np.finfo(float).tiny
+        if alpha == 1.0:
+            want = -tau * np.log(u)
+        else:
+            v = np.clip(rng_ref.random(u.size), 1e-300, 1.0 - 1e-16)
+            factor = np.sin(alpha * np.pi) / np.tan(alpha * np.pi * v) - np.cos(alpha * np.pi)
+            want = -tau * np.log(u) * factor ** (1.0 / alpha)
+        if n is None:
+            assert isinstance(got, float) and got == want[0]
+        else:
+            assert np.array_equal(got, want)
+        assert _stream_position(rng_new) == _stream_position(rng_ref)
 
     def test_domain(self):
         rng = np.random.default_rng(0)
@@ -255,6 +282,71 @@ class TestRunBlockMatchesReference:
             assert np.any(snap_w[snap_alive] != 1.0)
         if params.sigma_a > 0:
             assert not np.all(snap_alive[-1])
+
+
+def _simulate_reference(n_walkers, t_obs, x_grid, params, tau, seed, block):
+    """The serial block loop: block b draws from Philox (seed, b), histograms summed in order."""
+    cp = map_params(params, tau)
+    t_obs = np.asarray(t_obs, dtype=float)
+    centers = np.asarray(x_grid, dtype=float)
+    dx = centers[1] - centers[0]
+    edges = np.concatenate((centers - 0.5 * dx, [centers[-1] + 0.5 * dx]))
+    hist_w = np.zeros((t_obs.size, centers.size))
+    hist_w2 = np.zeros_like(hist_w)
+    alive_w = np.zeros(t_obs.size)
+    for b in range((n_walkers + block - 1) // block):
+        rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+        m = min(block, n_walkers - b * block)
+        snap_x, snap_w, snap_alive = _run_block(m, t_obs, cp, params.phase, rng)
+        for it in range(t_obs.size):
+            live = snap_alive[it]
+            idx = np.searchsorted(edges, snap_x[it][live], side="right") - 1
+            ok = (idx >= 0) & (idx < centers.size)
+            np.add.at(hist_w[it], idx[ok], snap_w[it][live][ok])
+            np.add.at(hist_w2[it], idx[ok], snap_w[it][live][ok] ** 2)
+            alive_w[it] += live.sum()
+    norm = n_walkers * dx
+    return hist_w / norm, alive_w / n_walkers, np.sqrt(hist_w2) / norm
+
+
+class TestBlocksMatchSerialReference:
+    # 1, 2 and 5 blocks of 2000 walkers, the last of the five holding 500;
+    # three usable CPUs put more threads than blocks or cores on the pool
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("n_walkers", [1500, 4000, 8500])
+    @pytest.mark.parametrize("case", ["degree_two_kernel", "ctrw_workload"])
+    def test_bit_identical(self, monkeypatch, case, n_walkers, cpus):
+        params, tau, t_obs = RENEWAL_CASES[case]
+        monkeypatch.setattr(ctrw, "_BLOCK", 2000)
+        monkeypatch.setattr(ctrw, "_usable_cpus", lambda: cpus)
+        xg = np.linspace(-0.3, 0.3, 31)
+        got = simulate_density(n_walkers, t_obs, xg, params, tau, seed=4)
+        want = _simulate_reference(n_walkers, t_obs, xg, params, tau, 4, 2000)
+        for g, w in zip((got.field.values, got.survival, got.stderr), want):
+            assert np.array_equal(g, w)
+        assert np.all(got.survival < 1.0)  # both cases absorb
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_cpu_writes_the_bytes_of_many(tmp_path):
+    # two blocks (140 000 walkers > 2**17): one thread when pinned to one
+    # CPU, one per usable CPU otherwise
+    argv = [sys.executable, "-m", "fracrte.cli", "ctrw", "--alpha", "0.9", "--sigma-s", "9",
+            "--sigma-a", "1", "--n-walkers", "140000", "--t", "0.002,0.005", "--seed", "3"]
+    outputs = []
+    cpu = min(os.sched_getaffinity(0))
+    for pin in (True, False):
+        out = tmp_path / str(pin)
+        out.mkdir()
+        proc = subprocess.run(argv + ["--output-path", str(out)], capture_output=True,
+                              text=True, timeout=300,
+                              preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pin else None)
+        assert proc.returncode == 0, proc.stderr
+        files = sorted(out.iterdir())
+        assert len(files) == 2
+        outputs.append([(f.name, f.read_bytes()) for f in files])
+    assert outputs[0] == outputs[1]
 
 
 class TestSimulateDensity:

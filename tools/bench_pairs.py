@@ -16,7 +16,20 @@ standard output is its JSON result.
 The output records, per workload and end-to-end metric of BENCHMARK.json,
 the quartiles and median of each side, the pairs the change wins and loses
 (ties count for neither, the direction is the metric's ``better``), the
-ratio of the medians and every pair as ``[parent, change]``; per side the
+ratio of the medians, every pair as ``[parent, change]`` and three verdicts:
+
+- ``gain``: the change wins at least nine tenths of the pairs, its
+  median is better than the parent's by more than the parent's
+  interquartile spread, every run of the change was correct, and no
+  larger share of its calls failed than of the parent's (a share, not a
+  count, since a faster side fits more calls into a run of fixed length);
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's relative ``bound``;
+- ``unresolved``: the parent's interquartile spread exceeds the bound
+  (relative to its median), and not every change run beats every parent
+  run.
+
+Per side the
 failed and attempted calls and whether every run was correct; and the
 host's core count and versions.  The two checkouts must have identical
 ``perfbench/`` trees and ``BENCHMARK.json``, so that both sides run the same
@@ -91,6 +104,9 @@ def summarise(runs, seeds, specs):
         "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in SIDES},
         "correct": {s: all(r["correct"] for r in runs[s]) for s in SIDES},
     }
+    failed, attempted = out["failed"], out["attempted"]
+    sound = out["correct"]["change"] and (failed["change"] * attempted["parent"]
+                                          <= failed["parent"] * attempted["change"])
     for spec in specs:
         name, lower = spec["name"], spec["better"] == "lower"
         per_pair = [[p["metrics"][name]["value"], c["metrics"][name]["value"]]
@@ -99,12 +115,19 @@ def summarise(runs, seeds, specs):
         wins = sum((c < p) if lower else (c > p) for p, c in per_pair)
         losses = sum((c > p) if lower else (c < p) for p, c in per_pair)
         p_q, c_q = quartiles(parent), quartiles(change)
+        # signed so that a positive value means the change is better
+        improvement = (p_q[1] - c_q[1]) if lower else (c_q[1] - p_q[1])
+        spread, bound = p_q[2] - p_q[0], spec["bound"] * abs(p_q[1])
+        beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
         out[name] = {
             "parent_q25_med_q75": [round(v, 4) for v in p_q],
             "change_q25_med_q75": [round(v, 4) for v in c_q],
             "change_wins": wins,
             "change_losses": losses,
             "median_ratio": round(c_q[1] / p_q[1], 4) if p_q[1] else None,
+            "gain": sound and 10 * wins >= 9 * len(per_pair) and improvement > spread,
+            "worse": -improvement > bound,
+            "unresolved": spread > bound and not beats_all,
             "per_pair": [[round(p, 4), round(c, 4)] for p, c in per_pair],
         }
     return out
