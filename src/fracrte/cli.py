@@ -96,19 +96,18 @@ class RunConfig:
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _parse_value(key, raw):
-    if key in ("times", "beta"):
-        parts = [p for p in str(raw).replace(",", " ").split() if p]
-        return tuple(float(p) for p in parts)
-    if key in ("N", "n_x", "seed", "n_walkers", "nodes_per_halfperiod",
-               "acceleration_order"):
-        return int(raw)
-    if key in ("subcommand", "mode", "tail_mode", "output_path"):
-        return str(raw)
-    return float(raw)
+    """Parse a flag or file value by the type of its RunConfig default; tuples hold floats."""
+    kind = type(_DEFAULTS[key])
+    try:
+        if kind is tuple:
+            return tuple(float(p) for p in str(raw).replace(",", " ").split())
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
 def load_config_file(path):
@@ -122,7 +121,7 @@ def load_config_file(path):
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
             key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in _FIELD_TYPES:
+            if key not in _DEFAULTS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = _parse_value(key, raw)
     return values
@@ -150,26 +149,26 @@ def parse_config(argv):
                         choices=["transport", "diffusion", "ctrw", "subordinate",
                                  "validate", "figures"])
     parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--v", type=float)
-    parser.add_argument("--sigma-s", dest="sigma_s", type=float)
-    parser.add_argument("--sigma-a", dest="sigma_a", type=float)
-    parser.add_argument("--g", type=float, help="anisotropy factor; sets beta_1 = 3g")
+    parser.add_argument("--alpha")
+    parser.add_argument("--v")
+    parser.add_argument("--sigma-s", dest="sigma_s")
+    parser.add_argument("--sigma-a", dest="sigma_a")
+    parser.add_argument("--g", help="anisotropy factor; sets beta_1 = 3g")
     parser.add_argument("--beta", help="comma-separated kernel coefficients beta_0,beta_1,...")
-    parser.add_argument("--N", type=int, help="truncation order")
-    parser.add_argument("--x-min", dest="x_min", type=float)
-    parser.add_argument("--x-max", dest="x_max", type=float)
-    parser.add_argument("--n-x", dest="n_x", type=int)
+    parser.add_argument("--N", help="truncation order")
+    parser.add_argument("--x-min", dest="x_min")
+    parser.add_argument("--x-max", dest="x_max")
+    parser.add_argument("--n-x", dest="n_x")
     parser.add_argument("--t", dest="times", help="comma-separated times")
-    parser.add_argument("--k-max", dest="k_max", type=float)
-    parser.add_argument("--nodes-per-halfperiod", dest="nodes_per_halfperiod", type=int)
-    parser.add_argument("--acceleration-order", dest="acceleration_order", type=int)
+    parser.add_argument("--k-max", dest="k_max")
+    parser.add_argument("--nodes-per-halfperiod", dest="nodes_per_halfperiod")
+    parser.add_argument("--acceleration-order", dest="acceleration_order")
     parser.add_argument("--tail-mode", dest="tail_mode",
                         choices=["none", "asymptotic_subtraction"])
     parser.add_argument("--mode", choices=list(MODES))
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--n-walkers", dest="n_walkers", type=int)
-    parser.add_argument("--tau", type=float)
+    parser.add_argument("--seed")
+    parser.add_argument("--n-walkers", dest="n_walkers")
+    parser.add_argument("--tau")
     parser.add_argument("--output-path", dest="output_path")
     args = parser.parse_args(argv)
 
@@ -179,7 +178,7 @@ def parse_config(argv):
     for f in fields(RunConfig):
         flag_val = getattr(args, f.name, None)
         if flag_val is not None:
-            values[f.name] = _parse_value(f.name, flag_val) if f.name in ("times", "beta") else flag_val
+            values[f.name] = _parse_value(f.name, flag_val)
     values["subcommand"] = args.subcommand
     return RunConfig(**values)
 

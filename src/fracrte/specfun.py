@@ -5,9 +5,11 @@ z: the Taylor series on the unit disc, an optimal-truncation asymptotic
 expansion far out where it converges, and elsewhere one contour rule, the
 trapezoid rule on a parabola around the branch cut plus the residue of the
 resolvent pole right of it.  ``m_wright`` evaluates the self-similar
-profile M_nu(x) of fractional diffusion.  ``stable_density`` evaluates the
-one-sided stable density f_alpha by two routes, a certified series and
-Zolotarev's angular integral for the points the series leaves, and
+profile M_nu(x) of fractional diffusion, and ``stable_density`` the
+one-sided stable density f_alpha(t) = alpha t^(-1-alpha) M_alpha(t^(-alpha))
+(Mainardi, Mura & Pagnini, Int. J. Differ. Equ. 2010, 104505).  The two
+share one route split: the M-Wright series where it certifies its
+sum, and Zolotarev's angular integral for the points it leaves.
 ``f_alpha_half`` is the closed form of the inverse-Laplace kernel of
 exp(-sqrt(s)).
 
@@ -276,17 +278,20 @@ def _m_wright_series(nu, x, rtol, max_terms):
     """Alternating series for M_nu in extended precision, over an array x.
 
     Returns ``(values, loss)`` arrays; ``loss`` marks points where
-    cancellation has consumed the precision budget (or a term overflowed)
-    and the caller should switch to the Laplace-inversion route.  The
-    power/factorial factor is carried as a running product so no
-    intermediate overflows.  Each point stops on its own rule and leaves
-    the active set; the per-point operation order does not depend on the
-    other points.
+    cancellation has consumed the precision budget (or the series did not
+    stop within ``max_terms``), which the caller sends to Zolotarev's
+    integral instead.  Zolotarev's integrand A e^(-yA) is at most 1/(e y),
+    so M_nu(x) <= 1 / (e (1 - nu) x): once the budget exceeds twice that
+    bound, loss is certain, and the point leaves with value 0 at once
+    instead of summing on.  The power/factorial factor is carried as a
+    running product so no intermediate overflows.  Each point stops on its
+    own rule and leaves the active set; the per-point operation order does
+    not depend on the other points.
     """
     from scipy.special import rgamma
 
     eps_ld = float(np.finfo(np.longdouble).eps)
-    values = np.empty(x.shape)
+    values = np.zeros(x.shape)
     loss = np.ones(x.shape, dtype=bool)
     idx = np.arange(x.size)
     neg_x = np.asarray(-x, dtype=np.longdouble)
@@ -303,19 +308,18 @@ def _m_wright_series(nu, x, rtol, max_terms):
         if not np.isfinite(rg):
             break
         term = pf * np.longdouble(rg)
-        big = np.abs(term) > 1e280
-        values[idx[big]] = (total[big] + comp[big]).astype(float)
         total, comp = _neumaier_sum_inplace(total, comp, term)
         max_mag = np.maximum(max_mag, np.abs(term))
         settled = np.abs(term) <= rtol * np.maximum(np.abs(total + comp), 1e-300)
         small = np.where(settled, small + 1, 0)
-        done = (small >= 2) & ~big
+        budget = max_mag * eps_ld * n / (0.5 * max(rtol, 1e-12))
+        lost = budget * (np.e * (1.0 - nu)) * -neg_x > 2.0
+        done = (small >= 2) & ~lost
         if np.any(done):
             val = (total[done] + comp[done]).astype(float)
             values[idx[done]] = val
-            loss[idx[done]] = np.abs(val) < (
-                max_mag[done] * eps_ld * n / (0.5 * max(rtol, 1e-12)))
-        keep = ~(done | big)
+            loss[idx[done]] = np.abs(val) < budget[done]
+        keep = ~(done | lost)
         if not np.all(keep):
             idx, neg_x, total, comp, pf, max_mag, small = (
                 a[keep] for a in (idx, neg_x, total, comp, pf, max_mag, small))
@@ -323,70 +327,23 @@ def _m_wright_series(nu, x, rtol, max_terms):
     return values, loss
 
 
-def _stretched_exp_log(nu, x):
-    """log of the saddle-point decay bound of M_nu at large x."""
-    c = 1.0 / (1.0 - nu)
-    b = (1.0 - nu) * nu ** (nu / (1.0 - nu))
-    a_exp = (nu - 0.5) / (1.0 - nu)
-    amp = nu ** ((2.0 * nu - 1.0) / (2.0 - 2.0 * nu)) / np.sqrt(2.0 * np.pi * (1.0 - nu))
-    return np.log(amp) + a_exp * np.log(x) - b * x**c
+def _m_wright_routed(nu, x):
+    """Series values of M_nu over a flat array x >= 0, and the points it leaves.
 
-
-def _stable_tail_series(alpha, t, rtol=1e-12, max_terms=700):
-    """Reciprocal-power series of f_alpha over an array t, convergent for all t > 0.
-
-    f_alpha(t) = (1/pi) sum_k (-1)^(k+1) Gamma(alpha k + 1) sin(pi k alpha)
-                 / k! * t^(-alpha k - 1).
-
-    Terms are built in log space and accumulated in extended precision;
-    each point stops on its own rule and leaves the active set, so its
-    operation order does not depend on the other points.  Returns
-    ``(values, ok)`` arrays.  ``ok`` certifies 1e-7 relative accuracy: the
-    extended-precision rounding eps_ld * k * max|term| plus the error each
-    term inherits from its float64 log magnitude,
-    sum |term| * 2^-52 * (|log_mag| + |(alpha k + 1) log t| + 4), must stay
-    below 1e-7 of the sum.  Points whose magnitude overflows or that do not
-    stop within ``max_terms`` are not ok.
+    Returns ``(values, rest)``: ``values`` holds the series sum (clipped at
+    0) wherever the series certifies it, and ``rest`` marks the points for
+    Zolotarev's integral, those with x > ``_MW_SERIES_XMAX`` or precision
+    loss.
     """
-    from scipy.special import gammaln
-
-    eps_ld = float(np.finfo(np.longdouble).eps)
-    values = np.zeros(t.shape)
-    ok = np.zeros(t.shape, dtype=bool)
-    idx = np.arange(t.size)
-    log_t = np.log(t)
-    total = np.zeros(t.shape, dtype=np.longdouble)
-    comp = np.zeros(t.shape, dtype=np.longdouble)
-    max_mag = np.zeros(t.shape)
-    err64 = np.zeros(t.shape)
-    small = np.zeros(t.shape, dtype=int)
-    for k in range(1, max_terms + 1):
-        if idx.size == 0:
-            break
-        sin_fac = np.sin(np.pi * k * alpha)
-        scale_log = (alpha * k + 1.0) * log_t
-        log_mag = gammaln(alpha * k + 1.0) - gammaln(k + 1.0) - scale_log
-        # overflowing points leave below; the clip keeps their dropped term finite
-        over = log_mag > 640.0
-        term = np.longdouble((-1.0) ** (k + 1) * sin_fac) * np.exp(
-            np.minimum(log_mag, 640.0).astype(np.longdouble))
-        total, comp = _neumaier_sum_inplace(total, comp, term)
-        mag = np.abs(term.astype(float))
-        max_mag = np.maximum(max_mag, mag)
-        err64 = err64 + mag * 2.0**-52 * (np.abs(log_mag) + np.abs(scale_log) + 4.0)
-        settled = mag <= rtol * np.maximum(np.abs((total + comp).astype(float)), 1e-300)
-        small = np.where(settled, small + 1, 0)
-        done = (small >= 2) & ~over
-        if np.any(done):
-            val = (total[done] + comp[done]).astype(float)
-            values[idx[done]] = val / np.pi
-            ok[idx[done]] = max_mag[done] * eps_ld * k + err64[done] < 1e-7 * np.abs(val)
-        keep = ~(done | over)
-        if not np.all(keep):
-            idx, log_t, total, comp, max_mag, err64, small = (
-                a[keep] for a in (idx, log_t, total, comp, max_mag, err64, small))
-    values[idx] = (total + comp).astype(float) / np.pi
-    return values, ok
+    values = np.zeros(x.shape)
+    rest = np.ones(x.shape, dtype=bool)
+    series = np.flatnonzero(x <= _MW_SERIES_XMAX)
+    vals, loss = _m_wright_series(nu, x[series], _RTOL, _MAX_TERMS)
+    if np.any(loss & (x[series] == 0.0)):
+        raise ConvergenceError("M-Wright series failed at x=0", region="series")
+    values[series] = np.maximum(vals, 0.0)
+    rest[series[~loss]] = False
+    return values, rest
 
 
 # Zolotarev rule: on each side of the peak, panels graded by halves toward
@@ -417,8 +374,8 @@ def _stable_zolotarev(alpha, t):
     exceeds 700 (or overflows) are 0.
     """
     one_m = 1.0 - alpha
-    log_y = -alpha / one_m * np.log(t)
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        log_y = -alpha / one_m * np.log(t)
         live = np.exp(log_y) * one_m * alpha ** (alpha / one_m) <= 700.0
     out = np.zeros(t.shape)
     if not np.any(live):
@@ -459,12 +416,12 @@ def _stable_zolotarev(alpha, t):
 def stable_density(alpha, t):
     """Density f_alpha(t) whose Laplace transform is exp(-s**alpha).
 
-    For ``alpha = 1/2`` the elementary closed form applies.  Otherwise two
-    routes run over whole arrays: the convergent reciprocal-power series
-    serves every point it certifies to 1e-7 relative accuracy (see
-    :func:`_stable_tail_series`), and Zolotarev's positive-integrand
-    angular integral, which has no cancellation, serves the rest through
-    one fixed Gauss-Legendre rule split at its peak (see
+    For ``alpha = 1/2`` the elementary closed form applies.  Otherwise
+    f_alpha(t) = alpha t^(-1-alpha) M_alpha(t^(-alpha)), and the points
+    run over whole arrays on the routes of :func:`m_wright`: the M-Wright
+    series where it certifies its sum, and Zolotarev's positive-integrand
+    angular integral, which has no cancellation, for the rest, through one
+    fixed Gauss-Legendre rule split at its peak (see
     :func:`_stable_zolotarev`).
     """
     if not (0.0 < alpha < 1.0):
@@ -476,36 +433,25 @@ def stable_density(alpha, t):
     t_flat = np.atleast_1d(t_arr).ravel()
     if np.any(t_flat <= 0) or not np.all(np.isfinite(t_flat)):
         raise DomainError("argument t must be finite and > 0")
-    out, ok = _stable_tail_series(alpha, t_flat)
-    out = np.maximum(out, 0.0)
-    if not np.all(ok):
-        out[~ok] = _stable_zolotarev(alpha, t_flat[~ok])
+    with np.errstate(over="ignore"):
+        x = t_flat ** -alpha
+    out, rest = _m_wright_routed(alpha, x)
+    out[~rest] *= alpha * t_flat[~rest] ** (-1.0 - alpha)
+    out[rest] = _stable_zolotarev(alpha, t_flat[rest])
     out = out.reshape(t_arr.shape) if not scalar else out[0]
     return float(out) if scalar else out
-
-
-def _m_wright_from_kernel(nu, x):
-    """M_nu(x) via the kernel identity M_nu(x) = t^(nu+1) f_nu(t) / nu, t = x^(-1/nu).
-
-    Absolutely accurate where the series cancels catastrophically; used
-    for large arguments.
-    """
-    t = x ** (-1.0 / nu)
-    return stable_density(nu, t) * t ** (nu + 1.0) / nu
 
 
 def m_wright(nu, x):
     """M-Wright function M_nu(x) for nu in (0,1) and x >= 0.
 
-    The defining alternating series is used while it retains significant
-    digits; beyond that (large x, or orders nu > 1/2 where cancellation
-    bites early) the value is recovered from the one-sided stable density
-    through its exact kernel relation.  Arguments in the deep
-    stretched-exponential tail return 0 once the decay bound falls below
-    1e-300.  The points are split into these routes up front: the series
-    runs over all its points at once, and every point for the kernel route
-    (x > 12, or series precision loss) goes into one ``stable_density``
-    call.
+    The defining alternating series serves x <= 12 while it retains
+    significant digits (see :func:`_m_wright_series`).  Every other point
+    (larger x, or orders nu > 1/2 where cancellation bites early) takes
+    the kernel identity M_nu(x) = t^(nu+1) f_nu(t) / nu at t = x^(-1/nu),
+    with f_nu from Zolotarev's integral, all in one call; at nu = 1/2 it
+    takes the identity's closed form exp(-x^2/4)/sqrt(pi).  Far in the
+    stretched-exponential tail the value underflows to 0.
     """
     if not (0.0 < nu < 1.0):
         raise DomainError(f"order nu must be in (0, 1), got {nu}")
@@ -514,24 +460,13 @@ def m_wright(nu, x):
     x_flat = np.atleast_1d(x_arr).ravel()
     if np.any(x_flat < 0) or not np.all(np.isfinite(x_flat)):
         raise DomainError("argument x must be finite and >= 0")
-
-    out = np.empty(x_flat.shape, dtype=float)
-    decay_log = np.zeros(x_flat.shape)
-    far = x_flat > 1.0
-    decay_log[far] = _stretched_exp_log(nu, x_flat[far])
-    # deep tail: the saddle form beats the noise floor of any summation
-    # route (exact 0 below the underflow threshold)
-    deep = decay_log < -23.0
-    out[deep] = np.where(decay_log[deep] < -690.0, 0.0, np.exp(decay_log[deep]))
-    via_kernel = ~deep & (x_flat > _MW_SERIES_XMAX)
-    series = np.flatnonzero(~deep & ~via_kernel)
-    vals, loss = _m_wright_series(nu, x_flat[series], _RTOL, _MAX_TERMS)
-    if np.any(loss & (x_flat[series] == 0.0)):
-        raise ConvergenceError("M-Wright series failed at x=0", region="series")
-    out[series] = np.maximum(vals, 0.0)
-    via_kernel[series[loss]] = True
-    if np.any(via_kernel):
-        out[via_kernel] = _m_wright_from_kernel(nu, x_flat[via_kernel])
+    out, rest = _m_wright_routed(nu, x_flat)
+    if nu == 0.5:
+        with np.errstate(over="ignore"):
+            out[rest] = np.exp(-0.25 * x_flat[rest] ** 2) / np.sqrt(np.pi)
+    else:
+        t = x_flat[rest] ** (-1.0 / nu)
+        out[rest] = _stable_zolotarev(nu, t) * t ** (nu + 1.0) / nu
     out = out.reshape(x_arr.shape) if not scalar else out[0]
     return float(out) if scalar else out
 

@@ -38,6 +38,16 @@ class TestParseConfig:
         assert main(["transport", "--alpha", "1.5"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, raw, key", [
+        ("--n-x", "3.5", "n_x"),
+        ("--tau", "x", "tau"),
+        ("--t", "0.1,a", "times"),
+    ])
+    def test_unparsable_value_is_usage_error(self, flag, raw, key, capsys):
+        # every flag is parsed by the type of its RunConfig default
+        assert main(["transport", flag, raw]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: cannot parse")
+
     def test_unknown_config_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense=1\n")

@@ -1,5 +1,6 @@
 """Special-function contracts: frozen oracle values and identities."""
 
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -13,11 +14,13 @@ from scipy.special import erfc, wofz
 from fracrte.errors import DomainError
 from fracrte.specfun import (
     _ASYMPTOTIC_RADIUS,
+    _MAX_TERMS,
     _RTOL,
     _asymptotic_attempt_radius,
+    _m_wright_routed,
+    _m_wright_series,
     _ml_grid,
     _ml_parabola,
-    _stable_tail_series,
     f_alpha_half,
     m_wright,
     mittag_leffler,
@@ -114,6 +117,23 @@ class TestMWright:
     def test_quarter_order_oracle_point(self):
         assert m_wright(0.25, 2.0) == pytest.approx(M_QUARTER_AT_TWO, rel=1e-10)
 
+    def test_far_tail_underflows_to_zero(self):
+        # x^(-1/nu) underflows to 0 here, and t^-alpha overflows for the
+        # smallest t; neither may warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for nu in (0.3, 0.5, 0.9):
+                assert np.all(m_wright(nu, np.array([1e200, 1e308])) == 0.0)
+            for alpha in (0.3, 0.9):
+                assert stable_density(alpha, 5e-324) == 0.0
+
+    @pytest.mark.parametrize("nu", [0.1, 0.5, 0.75, 0.9, 0.99])
+    def test_zolotarev_ceiling(self, nu):
+        # M_nu(x) <= 1 / (e (1 - nu) x), the bound the series uses to drop
+        # points whose loss is certain
+        x = np.linspace(0.05, 12.0, 240)
+        assert np.all(m_wright(nu, x) <= 1.0 / (np.e * (1.0 - nu) * x))
+
     def test_nonnegative(self):
         for nu in (0.25, 0.5, 0.75):
             assert np.all(m_wright(nu, np.linspace(0, 20, 81)) >= 0.0)
@@ -196,10 +216,8 @@ def _stable_oracle(alpha, t):
 
 class TestStableOracle:
     def test_series_certificate_band(self):
-        # the reciprocal-power series cancels here; its certificate must
-        # count the float64 error of each term's log magnitude, or it
-        # accepts sums off by up to 2.1e-4 (the m_wright(0.75, x ~ 3.3)
-        # points of the transport tail transform)
+        # the series cancels here (the m_wright(0.75, x ~ 3.3) points of
+        # the transport tail transform)
         ts = np.linspace(0.15, 0.30, 61)
         got = stable_density(0.75, ts)
         ref = np.array([_stable_oracle(0.75, t) for t in ts])
@@ -214,15 +232,68 @@ class TestStableOracle:
         (0.999, 0.99, 1.03),
     ])
     def test_fallback_route(self, alpha, t_lo, t_hi):
-        # bands the series does not certify, down to f ~ 1e-52, so every
-        # point takes the Zolotarev rule; near order one its integrand is
-        # a spike at phi*
+        # bands that leave the shared series (precision loss, or
+        # t^-alpha > 12), down to f ~ 1e-52, so every point takes the
+        # Zolotarev rule; near order one its integrand is a spike at phi*
         ts = np.linspace(t_lo, t_hi, 5)
-        _, certified = _stable_tail_series(alpha, ts)
-        assert not np.any(certified)
+        _, rest = _m_wright_routed(alpha, ts ** -alpha)
+        assert np.all(rest)
         got = stable_density(alpha, ts)
         ref = np.array([_stable_oracle(alpha, t) for t in ts])
         assert np.max(np.abs(got - ref) / ref) < 1e-10
+
+
+def _m_wright_oracle(nu, x, digits=30):
+    """M_nu(x) from its defining series in mpmath, ``digits`` significant.
+
+    The terms grow to about exp(b x^c), c = 1/(1 - nu) and
+    b = (1 - nu) nu^(nu c), and the sum falls to about exp(-b x^c), so the
+    working precision adds twice that many digits for the cancellation.
+    """
+    c = 1.0 / (1.0 - nu)
+    b = (1.0 - nu) * nu ** (nu * c)
+    with mp.workdps(digits + 10 + int(2.0 * b * x**c / np.log(10.0))):
+        nu, x = mp.mpf(nu), mp.mpf(x)
+        total, power, n, quiet = mp.rgamma(1 - nu), mp.mpf(1), 0, 0
+        while quiet < 4:
+            n += 1
+            power *= -x / n
+            term = power * mp.rgamma(1 - nu * (n + 1))
+            total += term
+            quiet = quiet + 1 if abs(term) < mp.mpf(10) ** -(digits + 5) * abs(total) else 0
+        return float(total)
+
+
+class TestMWrightOracle:
+    @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75, 0.9])
+    def test_series_certified_accuracy(self, nu):
+        # every point the series certifies; the loss rule counts the
+        # extended-precision rounding but not the float64 rgamma factor of
+        # each term, so the worst is 9.3e-11 (nu = 0.75, x = 2.875), above
+        # the 1e-11 stop rule
+        x = np.arange(1, 97) / 8.0
+        vals, loss = _m_wright_series(nu, x, _RTOL, _MAX_TERMS)
+        assert not np.all(loss)
+        ref = np.array([_m_wright_oracle(nu, xi) for xi in x[~loss]])
+        assert np.max(np.abs(vals[~loss] - ref) / ref) < 1e-9
+
+    @pytest.mark.parametrize("nu, x_lo, x_hi", [
+        (0.9, 1.5, 3.0),
+        (0.75, 4.0, 8.0),
+        (0.6, 6.0, 14.0),
+        (0.3, 12.5, 30.0),
+    ])
+    def test_stretched_exponential_tail(self, nu, x_lo, x_hi):
+        # into the stretched-exponential tail, against the kernel identity
+        # M_nu(x) = t^(nu+1) f_nu(t) / nu, t = x^(-1/nu), on the 40-digit
+        # Zolotarev oracle, wherever M is above 1e-290
+        x = np.linspace(x_lo, x_hi, 6)
+        t = x ** (-1.0 / nu)
+        ref = np.array([_stable_oracle(nu, ti) for ti in t]) * t ** (nu + 1.0) / nu
+        live = ref > 1e-290
+        assert np.any(live)
+        got = m_wright(nu, x)
+        assert np.max(np.abs(got[live] - ref[live]) / ref[live]) < 1e-10
 
 
 class TestArrayEvaluation:
