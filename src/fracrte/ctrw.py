@@ -23,15 +23,13 @@ thread count.
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ScaleError
 from .legendre import phase_sample_batch
+from .pool import ordered_map
 from .transport import DensityField
 
 __all__ = [
@@ -219,23 +217,8 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed, pf=None):
                 alive_w[it] += live.sum()
 
     n_blocks = (n_walkers + _BLOCK - 1) // _BLOCK
-    workers = min(_usable_cpus(), n_blocks)
-    if workers == 1:
-        # a worker thread would gain nothing here and cost its own malloc
-        # arena, about 5 MB of peak RSS on a one-block run
-        for block in range(n_blocks):
-            add(run(block))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # the next block is submitted only after the oldest has been
-            # summed, so at most one block per thread holds its snapshots
-            pending = deque()
-            for block in range(n_blocks):
-                pending.append(pool.submit(run, block))
-                if len(pending) == workers:
-                    add(pending.popleft().result())
-            while pending:
-                add(pending.popleft().result())
+    for snapshots in ordered_map(run, range(n_blocks)):
+        add(snapshots)
 
     norm = n_walkers * dx
     field = DensityField(
@@ -247,13 +230,6 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed, pf=None):
     )
     return CTRWResult(field=field, survival=alive_w / n_walkers,
                       stderr=np.sqrt(hist_w2) / norm)
-
-
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _run_block(m, t_obs, cp, pf, rng):

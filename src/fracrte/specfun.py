@@ -482,6 +482,8 @@ def f_alpha_half(t):
     t_flat = np.atleast_1d(t_arr)
     if np.any(t_flat <= 0) or not np.all(np.isfinite(t_flat)):
         raise DomainError("argument t must be finite and > 0")
-    out = t_flat ** (-1.5) * np.exp(-0.25 / t_flat) / (2.0 * np.sqrt(np.pi))
+    decay = np.exp(-0.25 / t_flat)
+    # t^(-3/2) overflows below t ~ 1e-206, far inside where the decay is 0
+    out = np.where(decay > 0.0, t_flat, 1.0) ** (-1.5) * decay / (2.0 * np.sqrt(np.pi))
     out = out.reshape(t_arr.shape) if not scalar else out[0]
     return float(out) if scalar else out

@@ -26,6 +26,7 @@ from .errors import (
     EigenSolverError,
 )
 from .legendre import PhaseFunction, anisotropy_g
+from .pool import ordered_map
 from .specfun import mittag_leffler
 
 __all__ = [
@@ -177,22 +178,34 @@ class ModeDecomposition:
     operator_norm: float | np.ndarray = field(default=0.0)
 
 
-def defective_mask(lam, cond, norm):
+def defective_mask(lam, Q, norm):
     """Coalescence test, vectorized over leading batch axes of ``lam``.
 
     Defective means the smallest eigenvalue gap is below
-    ``_GAP_FACTOR * norm`` and cond(Q) exceeds 1e7.
+    ``_GAP_FACTOR * norm`` and cond(Q) exceeds 1e7.  cond(Q), one SVD per
+    matrix, is computed only where the gap test fires.  Returns the mask
+    and cond(Q), NaN where it was not computed.
     """
     idx = np.arange(lam.shape[-1])
     gaps = np.abs(lam[..., :, None] - lam[..., None, :])
     gaps[..., idx, idx] = np.inf
-    return (gaps.min(axis=(-2, -1)) < _GAP_FACTOR * norm) & (cond > 1e7)
+    close = gaps.min(axis=(-2, -1)) < _GAP_FACTOR * norm
+    cond = np.full(close.shape, np.nan)
+    if np.any(close):
+        cond[close] = np.linalg.cond(Q[close])
+    return close & (cond > 1e7), cond
+
+
+# eigensolver work (n^3 per n x n matrix) of one slice: 64 matrices at
+# N = 15, where slices of half the batch raised the peak RSS by 10-20 MB;
+# one slice for up to 2^15 matrices at N = 1, which threads do not speed up
+_SLICE_WORK = 1 << 18
 
 
 def decompose(op):
     """Full eigendecomposition of the operator with left eigenvectors.
 
-    One real eigensolver call covers every stacked wavenumber: for the
+    One real eigensolver call per slice of stacked wavenumbers: for the
     unitary J = diag(i^l), R = J^{-1} A J has the diagonal of A, -c_l above
     it and +c_l below it (A's couplings are i c_l), so R is real and exactly
     similar to A.  Its complex eigenvalues come in exact conjugate pairs
@@ -200,34 +213,61 @@ def decompose(op):
     and condition number.  A matrix is defective only when eigenvalues
     coalesce AND the eigenvector basis degenerates; repeated eigenvalues of
     the diagonal k = 0 operator keep independent eigenvectors and are fine.
+    ``condition_estimate`` holds cond(Q) where the eigenvalue gap test
+    fired (inf where the matrix is defective) and NaN elsewhere.
+
+    The slices hold ``_SLICE_WORK // n**3`` matrices each and run on the
+    usable CPUs (see :func:`~fracrte.pool.ordered_map`), each writing its
+    rows of the output arrays.  The solvers treat each matrix alone, so
+    the result does not depend on the slicing or the thread count.  Slices
+    are sized by the solver's n^3 work: at N = 1 a transport batch is one
+    slice on the calling thread, since the per-matrix cost of 2 x 2 solves
+    is too small for a second thread to repay its start and its malloc
+    arena; at N = 15 slices stay small (64 matrices) to bound the peak
+    RSS, because every worker thread allocates in its own arena.
     """
+    n = op.entries.shape[-1]
+    batch = op.entries.shape[:-2]
+    stack = op.entries.reshape(-1, n, n)
     # exact powers of i, whatever a complex power routine would round to
-    J = np.array([1, 1j, -1, -1j])[np.arange(op.entries.shape[-1]) % 4]
-    try:
-        lam, Q = np.linalg.eig((J.conj()[:, None] * op.entries * J).real)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigensolver failed at k={op.k}", k=op.k) from exc
-    lam, Q = lam.astype(complex), J[:, None] * Q
-    norm = op.norm
+    J = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
+    norm = np.reshape(op.norm, -1)
     norm = np.where(norm > 0, norm, 1.0)
-    cond = np.linalg.cond(Q)
-    defective = defective_mask(lam, cond, norm)
-    if not defective.any():
-        Qinv = np.linalg.inv(Q)
-    else:
-        cond = np.where(defective, np.inf, cond)
-        Qinv = np.full_like(Q, np.nan)
-        if not defective.all():
-            Qinv[~defective] = np.linalg.inv(Q[~defective])
-    scalar = defective.ndim == 0
+    lam = np.empty(stack.shape[:-1], dtype=complex)
+    Q = np.empty_like(stack)
+    Qinv = np.empty_like(stack)
+    cond = np.empty(len(stack))
+    defective = np.empty(len(stack), dtype=bool)
+    step = max(1, _SLICE_WORK // n**3)
+
+    def solve(lo):
+        s = slice(lo, lo + step)
+        try:
+            lam_s, Q_s = np.linalg.eig((J.conj()[:, None] * stack[s] * J).real)
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverError(f"eigensolver failed at k={op.k}", k=op.k) from exc
+        lam[s], Q[s] = lam_s, J[:, None] * Q_s
+        bad, cond[s] = defective_mask(lam[s], Q[s], norm[s])
+        defective[s] = bad
+        if not bad.any():
+            Qinv[s] = np.linalg.inv(Q[s])
+        else:
+            cond[s][bad] = np.inf
+            Qinv[s] = np.nan
+            if not bad.all():
+                Qinv[s][~bad] = np.linalg.inv(Q[s][~bad])
+
+    for _ in ordered_map(solve, range(0, len(stack), step)):
+        pass
+    scalar = not batch
     return ModeDecomposition(
         k=op.k,
-        eigenvalues=lam,
-        right_vectors=Q,
-        left_vectors=Qinv,
-        condition_estimate=float(cond) if scalar else cond,
-        defective_flag=bool(defective) if scalar else defective,
-        operator_norm=float(norm) if scalar else norm,
+        eigenvalues=lam.reshape(batch + (n,)),
+        right_vectors=Q.reshape(op.entries.shape),
+        left_vectors=Qinv.reshape(op.entries.shape),
+        condition_estimate=float(cond[0]) if scalar else cond.reshape(batch),
+        defective_flag=bool(defective[0]) if scalar else defective.reshape(batch),
+        operator_norm=float(norm[0]) if scalar else norm.reshape(batch),
     )
 
 

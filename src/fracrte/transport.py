@@ -354,7 +354,11 @@ class _PanelLayout:
         array pass over rows x positions, in chunks of positions: a chunk's
         cosine table (and sine table for complex integrands) serves every
         row, and its panel sums are accelerated before the next chunk
-        starts.  Raises QuadratureError if a value is not finite.
+        starts.  The chunks run on the calling thread: a chunk's cosine
+        table releases the GIL, but its acceleration is many small array
+        operations that hold it, so on two threads the chunks waited on
+        each other and the solve time varied from run to run by more than
+        the threads saved.  Raises QuadratureError if a value is not finite.
         """
         nodes = self.flat_nodes
         f_rows = np.array(f_rows, ndmin=2)

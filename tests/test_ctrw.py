@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracrte import ctrw
+from fracrte import ctrw, pool
 from fracrte.ctrw import (
     _collide,
     _run_block,
@@ -318,7 +318,7 @@ class TestBlocksMatchSerialReference:
     def test_bit_identical(self, monkeypatch, case, n_walkers, cpus):
         params, tau, t_obs = RENEWAL_CASES[case]
         monkeypatch.setattr(ctrw, "_BLOCK", 2000)
-        monkeypatch.setattr(ctrw, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
         xg = np.linspace(-0.3, 0.3, 31)
         got = simulate_density(n_walkers, t_obs, xg, params, tau, seed=4)
         want = _simulate_reference(n_walkers, t_obs, xg, params, tau, 4, 2000)

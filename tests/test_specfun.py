@@ -157,6 +157,16 @@ class TestStableKernel:
     def test_vanishes_at_origin(self):
         assert f_alpha_half(1e-4) < 1e-200
 
+    @pytest.mark.parametrize("t", [1e-210, 1e-250])
+    def test_zero_where_the_decay_underflows(self, t):
+        # t^(-3/2) overflows here; the density is 0, not NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f_alpha_half(t) == 0.0
+            assert stable_density(0.5, t) == 0.0
+            assert np.array_equal(f_alpha_half(np.array([t, 1.0])),
+                                  [0.0, f_alpha_half(1.0)])
+
     def test_unit_mass(self):
         val, _ = quad(f_alpha_half, 0, np.inf, limit=300)
         assert val == pytest.approx(1.0, abs=1e-8)

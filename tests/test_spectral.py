@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from fracrte.errors import ConfigurationError, DefectiveOperatorError, DomainError
+from fracrte import pool, spectral
+from fracrte.errors import (
+    ConfigurationError,
+    DefectiveOperatorError,
+    DomainError,
+    EigenSolverError,
+)
 from fracrte.legendre import PhaseFunction
 from fracrte.spectral import (
     MediumParams,
@@ -188,6 +194,45 @@ class TestBatchedDecomposition:
         assert np.array_equal(w[1], weights(dec))
 
 
+class TestSlicedDecomposition:
+    """Slices of a few matrices, on one and on three threads, give the
+    per-wavenumber decomposition bit for bit."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_slices_equal_per_wavenumber(self, monkeypatch, switch_often, medium, k_c, N,
+                                         cpus):
+        monkeypatch.setattr(spectral, "_SLICE_WORK", 7 * (N + 1) ** 3)  # six slices
+        monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+        ks = np.linspace(0.0, 2.9 * k_c, 40)
+        ks[33] = k_c  # the N = 1 coalescence point, in the fifth slice
+        dec = decompose(assemble_operator(ks, medium, N))
+        for i, k in enumerate(ks):
+            one = decompose(assemble_operator(k, medium, N))
+            assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(dec.right_vectors[i], one.right_vectors)
+            assert np.array_equal(dec.left_vectors[i], one.left_vectors, equal_nan=True)
+            assert np.array_equal(dec.condition_estimate[i], one.condition_estimate,
+                                  equal_nan=True)
+            assert dec.defective_flag[i] == one.defective_flag
+        assert np.sum(dec.defective_flag) == (N == 1)
+        if N == 1:
+            assert np.all(np.isnan(dec.left_vectors[33]))
+            assert dec.condition_estimate[33] == np.inf
+        # cond(Q) is computed only where the eigenvalue gap test fires: at the
+        # N = 1 coalescence point, or on the repeated diagonal of k = 0
+        fired = np.flatnonzero(~np.isnan(dec.condition_estimate))
+        assert fired.tolist() == ([33] if N == 1 else [0])
+
+    def test_solver_error_in_a_worker_reaches_the_caller(self, monkeypatch, medium):
+        monkeypatch.setattr(spectral, "_SLICE_WORK", 7 * 8)
+        monkeypatch.setattr(pool, "usable_cpus", lambda: 3)
+        ks = np.linspace(0.0, 5.0, 40)
+        ks[30] = np.nan
+        with pytest.raises(EigenSolverError):
+            decompose(assemble_operator(ks, medium, 1))
+
+
 class TestMatrixAction:
     def test_identity_at_time_zero(self, medium):
         dec = decompose(assemble_operator(0.7, medium, 3))
@@ -292,7 +337,7 @@ def _decompose_complex_reference(op):
     """
     lam, Q = np.linalg.eig(op.entries)
     norm = np.where(op.norm > 0, op.norm, 1.0)
-    defective = defective_mask(lam, np.linalg.cond(Q), norm)
+    defective, _ = defective_mask(lam, Q, norm)
     Qinv = np.full_like(Q, np.nan)
     Qinv[~defective] = np.linalg.inv(Q[~defective])
     exact = Q[..., 0, :] * Qinv[..., :, 0]

@@ -595,6 +595,13 @@ class TestReductionLocality:
                                   full_c[:, np.r_[idx, idx + n]])
         assert np.array_equal(layout.reduce(u_hat[1], x[[single]], times[1]), full[1, [single]])
 
+    def test_small_chunks(self, monkeypatch, layout_case):
+        # chunks of 5 positions, 12 over x and 24 over the signed positions
+        layout, x, times, u_hat, shifted, full, full_c = layout_case
+        monkeypatch.setattr(transport, "_CHUNK_ENTRIES", 5 * layout.flat_nodes.size)
+        assert np.array_equal(layout.reduce(u_hat, x, times), full)
+        assert np.array_equal(_PanelLayout.reduce(layout, shifted, np.r_[x, -x]), full_c)
+
 
 class TestConjugatePairHalving:
     """``_modal_density`` evaluates one mode of each conjugate pair at twice
