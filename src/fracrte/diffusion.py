@@ -2,7 +2,7 @@
 
 In the small mean-free-path scaling the transport density converges to
 the solution of a time-fractional diffusion equation with coefficient
-D0 = v / (3 (1 - g) sigma_s).  The fundamental solution is available two
+D0 = v^2 / (3 (1 - g) sigma_s).  The fundamental solution is available two
 independent ways: a half-line cosine transform of the Mittag-Leffler
 relaxation mode, and (without absorption) the self-similar M-Wright
 profile.  Both are normalized to unit mass.
@@ -14,8 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateTransportError, DomainError
+from .errors import DomainError
 from .specfun import m_wright, mittag_leffler
+from .spectral import d0
 from .transport import QuadratureSpec, fourier_inversion
 
 __all__ = [
@@ -45,23 +46,6 @@ class DiffusionParams:
     @classmethod
     def from_medium(cls, params):
         return cls(alpha=params.alpha, D0=d0(params), sigma_a=params.sigma_a)
-
-
-def d0(params):
-    """Diffusion coefficient v^2 / (3 (1 - g) sigma_s) of a medium.
-
-    The square is dimensionally forced ([v] = length / time^alpha and
-    [sigma_s] = 1 / time^alpha, so only v^2/sigma_s is length^2 per
-    fractional time) and is what makes the coefficient invariant under
-    the small-mean-free-path scaling v -> v/e, sigma_s -> sigma_s/e^2.
-    At the benchmark speed v = 1 it coincides with the first power.
-    """
-    g = params.g
-    if g >= 1.0:
-        raise DegenerateTransportError(
-            f"anisotropy factor g={g} >= 1 degenerates the diffusion limit"
-        )
-    return params.v**2 / (3.0 * (1.0 - g) * params.sigma_s)
 
 
 def diffusion_density_quadrature(x, t, dp, spec=None):

@@ -41,7 +41,8 @@ class ConfigurationError(ValueError):
 
 
 class EigenSolverError(NumericalError):
-    """Eigendecomposition failed; carries the wavenumber being processed."""
+    """Eigendecomposition failed; ``k`` holds the wavenumbers of the
+    matrices the solver rejected."""
 
     def __init__(self, message, k=None):
         super().__init__(message)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DefectiveOperatorError,
+    DegenerateTransportError,
     DomainError,
     EigenSolverError,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "hermitian_mode_weights",
     "exact_mode_weights",
     "critical_wavenumber",
+    "d0",
 ]
 
 # Relative eigenvalue gap below which a point is treated as defective.
@@ -98,6 +100,23 @@ def critical_wavenumber(params):
     """k_c = (sqrt(3)/2) sigma_s (1 - g) / v, the eigenvalue-coalescence
     point of the two-moment (N=1) operator."""
     return 0.5 * np.sqrt(3.0) * params.sigma_s * (1.0 - params.g) / params.v
+
+
+def d0(params):
+    """Diffusion coefficient v^2 / (3 (1 - g) sigma_s) of a medium.
+
+    The square is dimensionally forced ([v] = length / time^alpha and
+    [sigma_s] = 1 / time^alpha, so only v^2/sigma_s is length^2 per
+    fractional time) and is what makes the coefficient invariant under
+    the small-mean-free-path scaling v -> v/e, sigma_s -> sigma_s/e^2.
+    At the benchmark speed v = 1 it coincides with the first power.
+    """
+    g = params.g
+    if g >= 1.0:
+        raise DegenerateTransportError(
+            f"anisotropy factor g={g} >= 1 degenerates the diffusion limit"
+        )
+    return params.v**2 / (3.0 * (1.0 - g) * params.sigma_s)
 
 
 def h_coeff(l, params):
@@ -196,6 +215,17 @@ def defective_mask(lam, Q, norm):
     return close & (cond > 1e7), cond
 
 
+def _rejected(stack):
+    """Mask of the matrices the eigensolver rejects, one call each."""
+    bad = np.zeros(len(stack), dtype=bool)
+    for i, matrix in enumerate(stack):
+        try:
+            np.linalg.eig(matrix)
+        except np.linalg.LinAlgError:
+            bad[i] = True
+    return bad
+
+
 # eigensolver work (n^3 per n x n matrix) of one slice: 64 matrices at
 # N = 15, where slices of half the batch raised the peak RSS by 10-20 MB;
 # one slice for up to 2^15 matrices at N = 1, which threads do not speed up
@@ -242,10 +272,12 @@ def decompose(op):
 
     def solve(lo):
         s = slice(lo, lo + step)
+        real = (J.conj()[:, None] * stack[s] * J).real
         try:
-            lam_s, Q_s = np.linalg.eig((J.conj()[:, None] * stack[s] * J).real)
+            lam_s, Q_s = np.linalg.eig(real)
         except np.linalg.LinAlgError as exc:
-            raise EigenSolverError(f"eigensolver failed at k={op.k}", k=op.k) from exc
+            failed = np.broadcast_to(op.k, batch).reshape(-1)[s][_rejected(real)]
+            raise EigenSolverError(f"eigensolver failed at k={failed}", k=failed) from exc
         lam[s], Q[s] = lam_s, J[:, None] * Q_s
         bad, cond[s] = defective_mask(lam[s], Q[s], norm[s])
         defective[s] = bad

@@ -5,12 +5,15 @@ matrix Mittag-Leffler function; real-space densities come from the
 half-line cosine/sine inversion.  The integrands decay only algebraically
 (like 1/k^2 after direction integration), so plain truncation is useless:
 one panel layout splits the half-line and integrates each panel with
-Gauss rules, and one array pass over (time x position), in bounded chunks
-of positions, forms the partial sums and accelerates them (Wynn's epsilon
-where the phase oscillates, reciprocal-wavenumber extrapolation near
-x = 0).  Every density here (energy, closed two-moment, ballistic) and
-the diffusion limit reach that one reduction; for energy densities the
-known large-k limit is optionally subtracted and its transform added back.
+Gauss rules, and one array pass over (time x distinct position) forms the
+partial sums and accelerates them (Wynn's epsilon where the phase
+oscillates, reciprocal-wavenumber extrapolation near x = 0).  The pass
+goes in blocks of positions whose panel sums stay within a fixed entry
+count, so its memory does not grow with the grid; repeated positions are
+reduced once.  Every density here (energy, closed two-moment, ballistic)
+and the diffusion limit reach that one reduction; for energy densities the
+known large-k limit is optionally subtracted and its transform, one
+M-Wright call for every time, added back.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .specfun import m_wright, mittag_leffler
 from .spectral import (
     assemble_operator,
     critical_wavenumber,
+    d0,
     decompose,
     exact_mode_weights,
     hermitian_matrix_action,
@@ -81,11 +85,12 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class TailModel:
-    """Analytic large-k model of an integrand and its exact transform.
+    """Analytic large-k model of integrand rows and their exact transforms.
 
-    ``integrand(k)`` is subtracted from the numerical integrand over the
-    finite range; ``transform(x)`` is the exact value of
-    (1/pi) * integral_0^inf cos(kx) integrand(k) dk, added back.
+    ``integrand(k)`` gives one row per integrand, subtracted from the
+    numerical integrand over the finite range; ``transform(x)`` gives, per
+    row, the exact value of (1/pi) * integral_0^inf cos(kx) integrand(k) dk,
+    added back.
     """
 
     integrand: object
@@ -132,7 +137,9 @@ def _decompose_displaced(k, params, N):
     Flagged wavenumbers are re-decomposed at k + 1e-7 max(k_c, 1) * attempt
     for up to five attempts, a shift invisible at quadrature accuracy.
     Every attempt decomposes the whole array; unflagged entries keep their
-    offset, so their values do not change.
+    offset, so their values do not change.  The QuadratureError raised
+    when that fails names, in its message and ``detail["k"]``, only the
+    wavenumbers still flagged.
     """
     shift = 1e-7 * max(critical_wavenumber(params), 1.0)
     k = np.asarray(k, dtype=float)
@@ -142,7 +149,9 @@ def _decompose_displaced(k, params, N):
         if not np.any(dec.defective_flag):
             return dec
         offset = np.where(dec.defective_flag, shift * (attempt + 1), offset)
-    raise QuadratureError(f"could not displace off defective point near k={k}")
+    flagged = k[np.asarray(dec.defective_flag)]
+    raise QuadratureError(f"could not displace off defective point near k={flagged}",
+                          detail={"k": flagged})
 
 
 def evolve_coefficients(k, t, mu0, N, params, mode="exact"):
@@ -307,7 +316,8 @@ def _fit_algebraic_tail(k_top, r_top, q):
     return a
 
 
-# entries of one (position x node) cosine table, which bounds a reduction chunk
+# entries of one (position x node) cosine table, which bounds a sub-chunk,
+# and of one (row x position x panel) array of panel sums, which bounds a block
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -318,14 +328,19 @@ class _PanelLayout:
     eigenvalue branches kink there), uniform panels continue to k_max sized
     so the fastest cosine still resolves; integrand values at the nodes
     are reduced against any x with acceleration and exact tail add-backs.
+    A diffusive scale ``k_w`` below k_c (content of width ~3/k_w in x)
+    gets its own graded segment [0, k_w]; k_c stays a panel edge.
     """
 
-    def __init__(self, k_c, spec, x_max, k_max):
+    def __init__(self, k_c, spec, x_max, k_max, k_w=np.inf):
         self.spec = spec
         k_c = min(k_c, 0.5 * k_max)
         # sine grading clusters edges at k_c, where the eigenvalue branches
         # meet with square-root behavior on both sides
-        edges_a = k_c * np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, 13))
+        grading = np.sin(0.5 * np.pi * np.linspace(0.0, 1.0, 13))
+        edges_a = k_c * grading
+        if k_w < k_c:
+            edges_a = np.concatenate((k_w * grading, k_w + (k_c - k_w) * grading[1:-1], [k_c]))
         width_cap = 25.0 / max(x_max, 0.5)
         n_b = int(max(30, np.ceil((k_max - k_c) / width_cap)))
         width_b = (k_max - k_c) / n_b
@@ -340,22 +355,32 @@ class _PanelLayout:
         n_top = (len(self.edges) - 1 - self.n_seg_a) // 3 * spec.nodes_per_halfperiod
         self._top = slice(-max(n_top, 2 * spec.nodes_per_halfperiod), None)
 
-    def reduce(self, f_rows, x, tails=None, mollifier_width=None):
+    def reduce(self, f_rows, x, tail=None, mollifier_width=None):
         """Invert rows of integrand values at ``flat_nodes`` onto positions ``x``.
 
         ``f_rows`` (rows, nodes) may be complex (Hermitian integrand, signed
-        ``x``); the result is (rows, len(x)).  ``tails`` gives one model (or
-        None) per row, subtracted and its transform added back.  A
-        ``mollifier_width`` multiplies the integrand by a Gaussian of that
-        width; once it has died by k_max (k_max * width > 5) the integrand
-        is complete: its plain panel sum is the value, and extrapolation or
-        a fitted tail would only model the cutoff shape.  Otherwise a fitted
-        a/(k^2+q^2) tail is subtracted from each row and added back.  One
-        array pass over rows x positions, in chunks of positions: a chunk's
-        cosine table (and sine table for complex integrands) serves every
-        row, and its panel sums are accelerated before the next chunk
-        starts.  The chunks run on the calling thread: a chunk's cosine
-        table releases the GIL, but its acceleration is many small array
+        ``x``); the result is (rows, len(x)).  A ``tail`` model, whose
+        integrand gives (rows, nodes) and transform (rows, positions), is
+        subtracted and its transform added back.  A ``mollifier_width``
+        multiplies the integrand by a Gaussian of that width; once it has
+        died by k_max (k_max * width > 5) the integrand is complete: its
+        plain panel sum is the value, and extrapolation or a fitted tail
+        would only model the cutoff shape.  Otherwise a fitted a/(k^2+q^2)
+        tail is subtracted from each row and added back.
+
+        Each distinct position is reduced once and its value scattered to
+        every copy; only exactly equal values merge, so mirror positions
+        that differ in their last bits stay separate.  The distinct
+        positions go in blocks whose panel sums (rows x positions x panels)
+        hold at most ``_CHUNK_ENTRIES`` entries, a whole number of cosine
+        sub-chunks of at most ``_CHUNK_ENTRIES`` table entries each; each
+        block is accelerated in one pass before the next starts.  One pass
+        over all positions would hold every panel sum and Wynn table at
+        once: on 801 positions at three times the peak RSS went from 61 to
+        81 MB.  Every step works row by row and position by position, so a
+        value does not depend on the other positions of the call.  The
+        blocks run on the calling thread: a sub-chunk's cosine table
+        releases the GIL, but the acceleration is many small array
         operations that hold it, so on two threads the chunks waited on
         each other and the solve time varied from run to run by more than
         the threads saved.  Raises QuadratureError if a value is not finite.
@@ -365,10 +390,8 @@ class _PanelLayout:
         if mollifier_width:
             f_rows *= np.exp(-0.5 * (nodes * mollifier_width) ** 2)
         complete = bool(mollifier_width) and self.k_max * mollifier_width > 5.0
-        tails = tails or [None] * len(f_rows)
-        for row, tail in zip(f_rows, tails):
-            if tail is not None:
-                row -= tail.integrand(nodes)
+        if tail is not None:
+            f_rows -= tail.integrand(nodes)
         a_alg = np.array([0.0 if complete else _fit_algebraic_tail(
             nodes[self._top], row[self._top], self.q) for row in f_rows])
         f_rows = f_rows - a_alg[:, None] / (nodes**2 + self.q**2)
@@ -376,24 +399,37 @@ class _PanelLayout:
         w_re = self.weights * panel_f.real
         w_im = self.weights * panel_f.imag if np.iscomplexobj(panel_f) else None
         x = np.asarray(x, dtype=float)
-        values = np.empty((len(f_rows), x.size))
-        step = max(1, _CHUNK_ENTRIES // nodes.size)
-        for lo in range(0, x.size, step):
-            phase = np.multiply.outer(x[lo:lo + step], self.nodes)
-            panels = np.einsum("xpn,tpn->txp", np.cos(phase), w_re)
-            if w_im is not None:
-                panels -= np.einsum("xpn,tpn->txp", np.sin(phase), w_im)
-            values[:, lo:lo + step] = self._accelerate(panels, x[lo:lo + step], complete)
+        distinct, inverse = np.unique(x, return_inverse=True)
+        values = np.empty((len(f_rows), distinct.size))
+        chunk = max(1, _CHUNK_ENTRIES // nodes.size)
+        block = max(1, _CHUNK_ENTRIES // (len(f_rows) * len(self.nodes)))
+        chunk = min(chunk, block)
+        block -= block % chunk
+        for lo in range(0, distinct.size, block):
+            xb = distinct[lo:lo + block]
+            panels = np.concatenate([self._panel_sums(xb[i:i + chunk], w_re, w_im)
+                                     for i in range(0, xb.size, chunk)], axis=1)
+            values[:, lo:lo + block] = self._accelerate(panels, xb, complete)
         # Hermitian integrand: (1/2pi) * 2 Re
-        values = values / np.pi + a_alg[:, None] * np.exp(-self.q * np.abs(x)) / (2.0 * self.q)
-        for row, tail in zip(values, tails):
-            if tail is not None:
-                row += tail.transform(x)
+        values = values / np.pi + (a_alg[:, None] * np.exp(-self.q * np.abs(distinct))
+                                   / (2.0 * self.q))
+        if tail is not None:
+            values += tail.transform(distinct)
+        values = values[:, inverse]
         finite = np.all(np.isfinite(values), axis=0)
         if not np.all(finite):
             raise QuadratureError("half-line inversion gave a non-finite value",
                                   panels=len(self.edges) - 1, detail={"x": x[~finite]})
         return values
+
+    def _panel_sums(self, x, w_re, w_im):
+        """Panel sums (rows, positions, panels) of the weighted integrand
+        against cos(kx), less sin(kx) against its imaginary part."""
+        phase = np.multiply.outer(x, self.nodes)
+        panels = np.einsum("xpn,tpn->txp", np.cos(phase), w_re)
+        if w_im is not None:
+            panels -= np.einsum("xpn,tpn->txp", np.sin(phase), w_im)
+        return panels
 
     def _accelerate(self, panels, x, complete):
         """Limits of panel sums (rows, positions, panels): the plain sum when
@@ -453,18 +489,26 @@ def _mode_weights_batch(k_nodes, params, N, mode):
     return dec.eigenvalues, weights(dec)
 
 
-def _tail_model_for(params, t):
-    """Large-k integrand limit E_2a(-(vk t^a)^2 / 3) and its transform."""
+def _tail_model_for(params, times):
+    """Large-k integrand limits E_2a(-(vk t^a)^2 / 3), one row per time,
+    and their transforms M_a(|x|/c)/(2c), c = v t^a/sqrt(3).
+
+    The transforms of every time are one ``m_wright`` call, whose values do
+    not depend on the other points of the call; the integrand stays one
+    ``mittag_leffler`` call per time, since its series values can.
+    """
     alpha, v = params.alpha, params.v
     if alpha >= 1.0:
         return None
-    c = v * t**alpha / np.sqrt(3.0)
+    c = np.array([v * t**alpha / np.sqrt(3.0) for t in times])
 
     def tail_integrand(k):
-        return mittag_leffler(2.0 * alpha, -((np.asarray(k) * c) ** 2)).real
+        return np.array([mittag_leffler(2.0 * alpha, -((np.asarray(k) * c_t) ** 2)).real
+                         for c_t in c])
 
     def tail_transform(x):
-        return m_wright(alpha, abs(x) / c) / (2.0 * c)
+        scaled = np.abs(x) / c[:, None]
+        return m_wright(alpha, scaled.ravel()).reshape(scaled.shape) / (2.0 * c[:, None])
 
     return TailModel(integrand=tail_integrand, transform=tail_transform)
 
@@ -475,26 +519,31 @@ class _EnergyLayout(_PanelLayout):
     The fine segment ends at the medium's critical wavenumber, and
     ``reduce`` applies the energy-density policy: an optional Gaussian
     mollifier, or else the analytic large-k tail when the spec asks for it.
+    Given the largest time ``t_max``, the fine segment also resolves the
+    diffusive width w = sqrt(D0 t_max^alpha): it is graded on [0, 3/w]
+    whenever 3/w < k_c, that is once t_max^alpha > 36 / (sigma_s (1 - g)).
     """
 
-    def __init__(self, params, spec, x_max, k_max):
-        super().__init__(critical_wavenumber(params), spec, x_max, k_max)
+    def __init__(self, params, spec, x_max, k_max, t_max=None):
+        k_w = np.inf if t_max is None else 3.0 / np.sqrt(d0(params) * t_max**params.alpha)
+        super().__init__(critical_wavenumber(params), spec, x_max, k_max, k_w)
         self.params = params
 
     @classmethod
-    def for_positions(cls, params, spec, x_abs):
-        """Layout for positions ``x_abs`` (see :func:`_layout_extent`)."""
-        return cls(params, spec, *_layout_extent(spec, x_abs, critical_wavenumber(params)))
+    def for_positions(cls, params, spec, x_abs, t_max=None):
+        """Layout for positions ``x_abs`` (see :func:`_layout_extent`) up to time ``t_max``."""
+        return cls(params, spec, *_layout_extent(spec, x_abs, critical_wavenumber(params)),
+                   t_max)
 
     def reduce(self, u_hat, x_abs, times, mollifier_width=None):
         """Cosine-transform node values, one row per time, onto positions:
         (len(times), nodes) -> (len(times), len(x_abs)); a scalar time maps
         one row to one row."""
         # the analytic tail model describes the unmollified object
-        tails = None
+        tail = None
         if not mollifier_width and self.spec.tail_mode == "asymptotic_subtraction":
-            tails = [_tail_model_for(self.params, t) for t in np.atleast_1d(times)]
-        values = super().reduce(np.asarray(u_hat, dtype=float), x_abs, tails=tails,
+            tail = _tail_model_for(self.params, np.atleast_1d(times))
+        values = super().reduce(np.asarray(u_hat, dtype=float), x_abs, tail=tail,
                                 mollifier_width=mollifier_width)
         return values[0] if np.ndim(times) == 0 else values
 
@@ -511,7 +560,7 @@ def _modal_density(x_abs, times, params, N, mode, spec, factors, mollifier_width
     conj factors(lam): true of the Mittag-Leffler factor and of any real
     exp-kernel fold.  One reduction maps every time onto the positions.
     """
-    layout = _EnergyLayout.for_positions(params, spec, x_abs)
+    layout = _EnergyLayout.for_positions(params, spec, x_abs, max(times))
     lam, w = _mode_weights_batch(layout.flat_nodes, params, N, mode)
     upper = lam.imag >= 0  # one mode of each conjugate pair, and every real mode
     w = np.where(lam.imag > 0, 2 * w, w)[upper]
@@ -608,7 +657,7 @@ def energy_density_closed_p1(x, t, params, spec=None):
     spec = spec or QuadratureSpec()
     x_arr = np.asarray(x, dtype=float)
     x_abs = np.abs(x_arr.ravel())
-    layout = _EnergyLayout.for_positions(params, spec, x_abs)
+    layout = _EnergyLayout.for_positions(params, spec, x_abs, t)
     vals = layout.reduce(_closed_p1_integrand(layout.flat_nodes, t, params), x_abs, t)
     return float(vals[0]) if x_arr.ndim == 0 else vals.reshape(x_arr.shape)
 

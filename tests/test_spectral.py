@@ -229,8 +229,20 @@ class TestSlicedDecomposition:
         monkeypatch.setattr(pool, "usable_cpus", lambda: 3)
         ks = np.linspace(0.0, 5.0, 40)
         ks[30] = np.nan
-        with pytest.raises(EigenSolverError):
+        with pytest.raises(EigenSolverError) as info:
             decompose(assemble_operator(ks, medium, 1))
+        assert info.value.k.shape == (1,) and np.isnan(info.value.k[0])
+
+    def test_solver_error_names_only_the_failing_wavenumber(self, medium):
+        # the error carries and prints the rejected matrix's wavenumber, not
+        # the whole batch (which numpy would print abbreviated)
+        ks = np.linspace(0.0, 5.0, 2000)
+        op = assemble_operator(ks, medium, 1)
+        op.entries[1500, 0, 0] = np.nan
+        with pytest.raises(EigenSolverError) as info:
+            decompose(op)
+        assert np.array_equal(info.value.k, [ks[1500]])
+        assert str(info.value) == f"eigensolver failed at k={np.array([ks[1500]])}"
 
 
 class TestMatrixAction:

@@ -1,5 +1,6 @@
 """Fourier inversion machinery, energy density, and the collision split."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.special import sici, wofz
 
+import fracrte.spectral as spectral
 import fracrte.subordination as subordination
 import fracrte.transport as transport
+from fracrte.diffusion import DiffusionParams, diffusion_density_mwright
 from fracrte.errors import DomainError, QuadratureError
-from fracrte.spectral import assemble_operator, critical_wavenumber, section5_medium
-from fracrte.specfun import mittag_leffler
+from fracrte.spectral import assemble_operator, critical_wavenumber, d0, section5_medium
+from fracrte.specfun import m_wright, mittag_leffler
 from fracrte.transport import (
     _CHUNK_ENTRIES,
     _WIDE_BRANCHES,
@@ -314,6 +317,80 @@ class TestEnergyDensity:
             assert np.max(np.abs(moved)) <= 1e-10 * np.max(np.abs(base))
 
 
+class TestDiffusiveWidth:
+    """At long times the fine segment resolves the diffusive width
+    w = sqrt(D0 t^alpha) as well as the coalescence kink: on section5_medium(0.9)
+    a segment ending at k_c alone gave mass 0.99652 (t = 1e3) and 1.09462
+    (t = 1e4), and a gap to the diffusion limit that grew with t."""
+
+    @pytest.fixture(scope="class")
+    def long_times(self):
+        m = section5_medium(0.9)
+        dp = DiffusionParams.from_medium(m)
+        out = {}
+        for t in (1e3, 1e4):
+            x = np.linspace(0.0, 8.0 * np.sqrt(d0(m) * t**0.9), 1201)
+            u = energy_density(x, [t], m, 1, mode="exact").values[0]
+            gap = np.max(np.abs(u - diffusion_density_mwright(x, t, dp))) / np.max(u)
+            out[t] = 2.0 * np.trapezoid(u, x), gap
+        return out
+
+    def test_unit_mass(self, long_times):
+        for mass, _ in long_times.values():
+            assert abs(mass - 1.0) <= 1e-4
+
+    def test_approaches_the_diffusion_limit(self, long_times):
+        gap_3, gap_4 = long_times[1e3][1], long_times[1e4][1]
+        assert max(gap_3, gap_4) < 1e-3
+        assert gap_4 < gap_3
+
+    def test_layout(self):
+        m, spec = section5_medium(0.9), QuadratureSpec()
+        k_c = critical_wavenumber(m)
+        # t^alpha <= 36 (every benchmark time) leaves the layout as it was
+        assert np.array_equal(_EnergyLayout(m, spec, 2.0, 300.0, 0.2).edges,
+                              _EnergyLayout(m, spec, 2.0, 300.0).edges)
+        layout = _EnergyLayout(m, spec, 2.0, 300.0, 1e3)
+        k_w = 3.0 / np.sqrt(d0(m) * 1e3**0.9)
+        assert k_w < k_c
+        assert np.count_nonzero(layout.edges <= k_w) == 13  # 12 panels on [0, 3/w]
+        assert k_c in layout.edges and layout.edges[layout.n_seg_a - 8] == k_c
+        assert np.all(np.diff(layout.edges) > 0)
+
+
+class TestNamedFailures:
+    def test_displacement_names_the_flagged_wavenumbers(self, monkeypatch, medium):
+        # a wavenumber that stays flagged through every displacement is the
+        # only one the error carries and prints
+        ks = np.linspace(0.0, 5.0, 2000)
+        real_mask = spectral.defective_mask
+
+        def stuck(lam, Q, norm):
+            bad, cond = real_mask(lam, Q, norm)
+            return bad | (np.arange(bad.size) == 1500), cond
+
+        monkeypatch.setattr(spectral, "defective_mask", stuck)
+        with pytest.raises(QuadratureError) as info:
+            transport._decompose_displaced(ks, medium, 1)
+        assert np.array_equal(info.value.detail["k"], [ks[1500]])
+        assert "..." not in str(info.value)
+
+
+def test_transport_wide_memory(medium):
+    # the benchmark's transport_wide shape, under the 8 MiB tracemalloc
+    # guard: blocked reduction ~3 MiB; one acceleration pass over every
+    # position at once peaked at 18.3 MiB
+    x, times = np.linspace(-2.0, 2.0, 801), (0.01, 0.05, 0.1)
+    energy_density(x, times, medium, 1)  # first-use tables and lazy imports
+    tracemalloc.start()
+    try:
+        energy_density(x, times, medium, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
 class TestSpeedScaling:
     @settings(max_examples=15)
     @given(log_v=st.floats(0.0, np.log(8.0)), t=st.floats(0.02, 0.2),
@@ -595,12 +672,74 @@ class TestReductionLocality:
                                   full_c[:, np.r_[idx, idx + n]])
         assert np.array_equal(layout.reduce(u_hat[1], x[[single]], times[1]), full[1, [single]])
 
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the positions and panel sums that reach the cosine tables
+        and the acceleration."""
+        seen = {"tables": [], "blocks": []}
+        real_sums, real_accelerate = _PanelLayout._panel_sums, _PanelLayout._accelerate
+
+        def panel_sums(self, x, w_re, w_im):
+            seen["tables"].append(np.array(x))
+            return real_sums(self, x, w_re, w_im)
+
+        def accelerate(self, panels, x, complete):
+            seen["blocks"].append((np.array(x), panels.size))
+            return real_accelerate(self, panels, x, complete)
+
+        monkeypatch.setattr(_PanelLayout, "_panel_sums", panel_sums)
+        monkeypatch.setattr(_PanelLayout, "_accelerate", accelerate)
+        return seen
+
     def test_small_chunks(self, monkeypatch, layout_case):
-        # chunks of 5 positions, 12 over x and 24 over the signed positions
+        # cosine sub-chunks of 5 positions; blocks of 40 positions over x
+        # (2 rows) and of 80 over the 119 distinct signed positions (1 row;
+        # 0 and -0 are one position)
         layout, x, times, u_hat, shifted, full, full_c = layout_case
-        monkeypatch.setattr(transport, "_CHUNK_ENTRIES", 5 * layout.flat_nodes.size)
+        entries = 5 * layout.flat_nodes.size
+        monkeypatch.setattr(transport, "_CHUNK_ENTRIES", entries)
+        seen = self._spy(monkeypatch)
         assert np.array_equal(layout.reduce(u_hat, x, times), full)
         assert np.array_equal(_PanelLayout.reduce(layout, shifted, np.r_[x, -x]), full_c)
+        assert [b[0].size for b in seen["blocks"]] == [40, 20, 80, 39]
+        assert all(size <= entries for _, size in seen["blocks"])
+        assert all(0 < t.size <= 5 for t in seen["tables"]) and len(seen["tables"]) == 36
+
+    def test_repeats_and_mirrors(self, layout_case):
+        # repeated positions and exact mirrors take the values of their
+        # distinct positions, bit for bit
+        layout, x, times, u_hat, shifted, full, full_c = layout_case
+        idx = np.r_[np.arange(x.size), np.arange(x.size)[::-1], [3, 3, 17, 0]]
+        assert np.array_equal(layout.reduce(u_hat, x[idx], times), full[:, idx])
+        signed = np.r_[x, -x]
+        idx = np.r_[idx, x.size + idx]
+        assert np.array_equal(_PanelLayout.reduce(layout, shifted, signed[idx]), full_c[:, idx])
+
+    def test_only_distinct_positions_reach_the_tables(self, monkeypatch, layout_case):
+        # |linspace(-2, 2, 801)| has 573 distinct values: a position and its
+        # mirror that differ in their last bits are reduced apart
+        layout, x, times, u_hat, *_ = layout_case
+        seen = self._spy(monkeypatch)
+        grid = np.abs(np.linspace(-2.0, 2.0, 801))
+        distinct = np.unique(grid)
+        assert distinct.size == 573
+        layout.reduce(u_hat, np.r_[grid, grid[::7]], times)
+        assert np.array_equal(np.concatenate(seen["tables"]), distinct)
+        assert np.array_equal(np.concatenate([b[0] for b in seen["blocks"]]), distinct)
+
+    def test_stacked_tail_transform(self):
+        # one m_wright call for every time gives the per-time transforms
+        # M_a(|x|/c)/(2c), c = v t^a / sqrt(3), and per-time integrands
+        m = replace(section5_medium(0.5), v=1.3)
+        times = np.array([0.01, 0.05, 0.1])
+        x = np.r_[0.0, np.linspace(-2.0, 2.0, 801), 7.5]
+        k = np.linspace(0.0, 300.0, 97)
+        tail = transport._tail_model_for(m, times)
+        for row, t in enumerate(times):
+            c = 1.3 * t**0.5 / np.sqrt(3.0)
+            assert np.array_equal(tail.transform(x)[row], m_wright(0.5, abs(x) / c) / (2.0 * c))
+            assert np.array_equal(tail.integrand(k)[row],
+                                  mittag_leffler(1.0, -((k * c) ** 2)).real)
 
 
 class TestConjugatePairHalving:
