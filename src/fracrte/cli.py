@@ -53,8 +53,8 @@ class RunConfig:
     n_x: int = 81
     times: tuple = (0.05,)
     k_max: float = 0.0  # 0 means automatic
-    nodes_per_halfperiod: int = 16
-    acceleration_order: int = 8
+    nodes_per_halfperiod: int = 16  # Gauss nodes per panel
+    acceleration_order: int = 8  # ignored (see QuadratureSpec); perfbench/gates.py reads it
     tail_mode: str = "asymptotic_subtraction"
     mode: str = "hermitian"
     seed: int = 1
@@ -88,7 +88,6 @@ class RunConfig:
         return QuadratureSpec(
             k_max=self.k_max if self.k_max > 0 else None,
             nodes_per_halfperiod=self.nodes_per_halfperiod,
-            acceleration_order=self.acceleration_order,
             tail_mode=self.tail_mode,
         )
 
@@ -162,7 +161,6 @@ def parse_config(argv):
     parser.add_argument("--t", dest="times", help="comma-separated times")
     parser.add_argument("--k-max", dest="k_max")
     parser.add_argument("--nodes-per-halfperiod", dest="nodes_per_halfperiod")
-    parser.add_argument("--acceleration-order", dest="acceleration_order")
     parser.add_argument("--tail-mode", dest="tail_mode",
                         choices=["none", "asymptotic_subtraction"])
     parser.add_argument("--mode", choices=list(MODES))

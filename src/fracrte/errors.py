@@ -63,7 +63,8 @@ class ResolventError(NumericalError):
 
 
 class QuadratureError(NumericalError):
-    """Oscillatory quadrature or its accelerator failed to converge.
+    """Oscillatory quadrature gave a non-finite value or could not displace
+    a defective wavenumber.
 
     Attributes
     ----------

@@ -14,8 +14,9 @@ sum, and Zolotarev's angular integral for the points it leaves.
 exp(-sqrt(s)).
 
 All functions are pure and accept scalars or numpy arrays in the main
-argument; they are safe to call concurrently.  Every step runs on arrays,
-so a point's value does not depend on the other points of the call.
+argument; they are safe to call concurrently.  Every step runs on arrays
+and each series stops point by point, so a point's value does not depend
+on the other points of the call.
 ``scipy.special`` is imported inside the series that need Gamma values,
 not with the module, so importing the package does not load it.
 """
@@ -79,22 +80,35 @@ def _neumaier_sum_inplace(total, comp, term):
 
 
 def _ml_series(alpha, z, rtol, max_terms):
-    """Taylor series with compensated accumulation, vectorized over z."""
+    """Taylor series with compensated accumulation, over a 1-D array z.
+
+    Each point stops once two successive terms fall below ``rtol`` of its
+    sum and leaves the active set, so its value does not depend on the
+    other points of the call.
+    """
     from scipy.special import rgamma
 
     z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    idx, zs = np.arange(z.size), z
     total = np.ones_like(z)
     comp = np.zeros_like(z)
     power = np.ones_like(z)
     small_count = np.zeros(z.shape, dtype=int)
     for n in range(1, max_terms + 1):
-        power = power * z
+        power = power * zs
         term = power * rgamma(alpha * n + 1.0)
         total, comp = _neumaier_sum_inplace(total, comp, term)
         scale = np.maximum(np.abs(total + comp), 1e-300)
         small_count = np.where(np.abs(term) <= rtol * scale, small_count + 1, 0)
-        if np.all(small_count >= 2):
-            return total + comp
+        done = small_count >= 2
+        if np.any(done):
+            out[idx[done]] = total[done] + comp[done]
+            keep = ~done
+            idx, zs, total, comp, power, small_count = (
+                a[keep] for a in (idx, zs, total, comp, power, small_count))
+            if idx.size == 0:
+                return out
     raise ConvergenceError(
         f"Mittag-Leffler series did not converge in {max_terms} terms",
         region="series",

@@ -2,22 +2,27 @@
 
 The Fourier-transformed moment vector evolves mode-by-mode under the
 matrix Mittag-Leffler function; real-space densities come from the
-half-line cosine/sine inversion.  The integrands decay only algebraically
-(like 1/k^2 after direction integration), so plain truncation is useless:
-one panel layout splits the half-line and integrates each panel with
-Gauss rules, and one array pass over (time x distinct position) forms the
-partial sums and accelerates them (Wynn's epsilon where the phase
-oscillates, reciprocal-wavenumber extrapolation near x = 0).  The pass
-goes in blocks of positions whose panel sums stay within a fixed entry
-count, so its memory does not grow with the grid; repeated positions are
-reduced once.  Every density here (energy, closed two-moment, ballistic)
-and the diffusion limit reach that one reduction; for energy densities the
-known large-k limit is optionally subtracted and its transform, one
-M-Wright call for every time, added back.
+half-line cosine/sine inversion.  One panel layout, a function of the
+medium, the quadrature spec and the largest time only, splits [0, K]: 12
+sine-graded panels up to the integrand's kink scale k_c, then panels
+growing geometrically to K.  The panels resolve the integrand, not the
+oscillation: each panel's Legendre series is integrated exactly against
+e^(ikx) (Filon's rule; Iserles & Norsett, Proc. R. Soc. A 461 (2005)
+1383), so no position enters the layout and a value does not depend on
+the rest of its grid.  The integrands decay only algebraically (like 1/k^2
+after direction integration): for energy densities the known large-k limit
+is subtracted and its transform, one M-Wright call for every time, added
+back; a fitted a/(k^2+q^2) tail likewise; the remainder past K is three
+end-point terms from the last panel's series.  One array pass over
+(time x distinct position), in blocks of positions whose panel sums stay
+within a fixed entry count, serves every density here (energy, closed
+two-moment, ballistic) and the diffusion limit; repeated positions are
+reduced once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +62,16 @@ MODES = ("exact", "hermitian")
 class QuadratureSpec:
     """Controls for the half-line oscillatory quadrature.
 
-    ``k_max`` of None lets each call pick
-    min(max(40/max(x_min, 1e-2), 50*k_c, 300), 5e3), where x_min is the
-    smallest nonzero |x| requested (1 when there is none) and k_c the
-    wavenumber scale of the integrand.  ``tail_mode`` affects energy
-    densities only and chooses how content beyond the integrated range is
-    handled: ``"none"`` relies on acceleration alone,
-    ``"asymptotic_subtraction"`` removes the known large-k form of the
-    integrand and restores its exact transform.
+    ``k_max`` is the end K of the integrated range; None takes 2e4 times
+    the integrand's wavenumber scale k_c (the medium's critical
+    wavenumber for transport densities).  No position enters K.
+    ``nodes_per_halfperiod`` is the number of Gauss nodes per panel.
+    ``acceleration_order`` is accepted and ignored: the Filon rule has no
+    acceleration to order.  ``tail_mode`` affects energy densities only
+    and chooses how content beyond K is handled: ``"none"`` relies on the
+    fitted tail and the end-point terms alone, ``"asymptotic_subtraction"``
+    also removes the known large-k form of the integrand and restores its
+    exact transform.
     """
 
     k_max: float | None = None
@@ -77,8 +84,6 @@ class QuadratureSpec:
             raise DomainError("k_max must be positive")
         if self.nodes_per_halfperiod < 8:
             raise DomainError("nodes_per_halfperiod must be >= 8")
-        if not (0 <= self.acceleration_order <= 12):
-            raise DomainError("acceleration_order must be in [0, 12]")
         if self.tail_mode not in ("none", "asymptotic_subtraction"):
             raise DomainError(f"unknown tail_mode {self.tail_mode!r}")
 
@@ -176,119 +181,75 @@ def evolve_coefficients(k, t, mu0, N, params, mode="exact"):
 
 # -- oscillatory half-line quadrature ------------------------------------
 
+# panels above k_c grow by this ratio; the default range end is K = _K_OVER_KC * k_c
+_PANEL_RATIO = 1.3
+_K_OVER_KC = 2e4
 
-def _wynn_epsilon(sums):
-    """Limit estimates of partial-sum sequences (one per row) by Wynn's epsilon table.
 
-    Returns ``(value, spread)`` arrays; ``spread`` is the scatter of the
-    last three even columns (a convergence diagnostic).  A row whose last
-    five sums agree to rounding level is converged (spread 0).  A
-    difference at rounding level is not inverted, which would inject huge
-    spurious entries; the row's table stops after that column.  A row
-    whose estimate exceeds three times its largest sum falls back to its
-    last sum (spread inf).
+def _spherical_jn(n, w):
+    """Spherical Bessel functions j_0..j_{n-1} at |w|, shape ``w.shape + (n,)``.
+
+    Upward recurrence where it is stable (|w| >= n); Miller's backward
+    recurrence below, normalised by whichever of j_0, j_1 is larger; the
+    power series under 0.5, where the backward recurrence would overflow.
     """
-    s = np.asarray(sums, dtype=float)
-    rows, n = s.shape
-    last = s[:, -1].copy()
-    if n < 3:
-        return last, np.full(rows, np.inf)
-    scale = np.maximum(np.max(np.abs(s), axis=1), 1e-300)
-    converged = np.ptp(s[:, -5:], axis=1) < 1e-13 * scale
-    prev, cur, evens = np.zeros((rows, n + 1)), s, [last]
-    n_even, live = np.ones(rows, dtype=int), np.ones(rows, dtype=bool)  # live: table not stopped
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for col in range(1, n):
-            diff = cur[:, 1:] - cur[:, :-1]
-            small = np.abs(diff) < 1e-15 * scale[:, None]
-            prev, cur = cur, np.where(small, prev[:, 1:-1], prev[:, 1:-1] + 1.0 / diff)
-            if col % 2 == 0:
-                evens.append(cur[:, -1])
-                n_even += live
-            live &= ~np.any(small, axis=1)
-            if not np.any(live):
-                break
-    pick = np.maximum(n_even[:, None] - np.array([3, 2, 1]), 0)  # each row's last three evens
-    tail = np.take_along_axis(np.stack(evens, axis=1), pick, axis=1)
-    spread, value = np.ptp(tail, axis=1), tail[:, -1]
-    blown = ~converged & (np.abs(value) > 3.0 * scale)
-    value = np.where(converged | blown, last, value)
-    spread = np.where(converged, 0.0, np.where(blown, np.inf, spread))
-    return value, spread
+    w = np.abs(np.asarray(w, dtype=float))
+    out = np.empty(w.shape + (n,))
+    up, series = w >= n, w < 0.5
+    down = ~(up | series)
+    if np.any(up):
+        x = w[up]
+        j = np.empty((x.size, n))
+        j[:, 0] = np.sin(x) / x
+        j[:, 1] = (j[:, 0] - np.cos(x)) / x
+        for l in range(1, n - 1):
+            j[:, l + 1] = (2 * l + 1) / x * j[:, l] - j[:, l - 1]
+        out[up] = j
+    if np.any(down):
+        x = w[down]
+        j = np.empty((x.size, n))
+        hi, lo = np.zeros(x.size), np.full(x.size, 1e-300)
+        # past l = w + 7.3 w^(1/3) (Airy decay) j_l(w) is below 1e-16 of j_w(w), and w < n
+        for l in range(n + 10 + 8 * int(np.ceil(np.cbrt(n))), 0, -1):
+            hi, lo = lo, (2 * l + 1) / x * lo - hi
+            if l <= n:
+                j[:, l - 1] = lo
+        j0 = np.sin(x) / x
+        j1 = (j0 - np.cos(x)) / x
+        j *= np.where(np.abs(j0) >= np.abs(j1), j0 / j[:, 0], j1 / j[:, 1])[:, None]
+        out[down] = j
+    if np.any(series):
+        x = w[series]
+        j = np.empty((x.size, n))
+        lead = np.ones(x.size)
+        for l in range(n):
+            if l:
+                lead = lead * x / (2 * l + 1)
+            term = total = np.ones(x.size)
+            for k in range(1, 12):
+                term = term * (-0.5 * x * x) / (k * (2 * l + 2 * k + 1))
+                total = total + term
+            j[:, l] = lead * total
+        out[series] = j
+    return out
 
 
-# how _extrapolate_wide finished a row: plain-sum rules in order, then Neville
-_WIDE_BRANCHES = ("flat", "sign_flip", "travel", "few_octaves", "neville_rejected", "neville")
+@functools.cache
+def _legendre_tables(n):
+    """Gauss rule and the constant matrices of the n-node Filon panel.
 
-
-def _extrapolate_wide(cum_sums, edges_right):
-    """Extrapolate rows of cumulative panel sums to infinite wavenumber.
-
-    After the analytic tail subtractions the remaining truncation error
-    decays like 1/k^2, so the sums at octave-spaced top edges (k_max,
-    k_max/2, k_max/4, k_max/8) follow a low-order polynomial in 1/k;
-    Neville extrapolation to 1/k = 0 removes the leading terms.  Octaves
-    below k_max/8 are excluded: there the integrand is not yet in its
-    asymptotic regime and would poison the fit.  Returns the values and,
-    per row, the index into ``_WIDE_BRANCHES`` of the rule that set it.
+    On s in [-1, 1] the n Gauss values f_i give the Legendre coefficients
+    c_j = (2j+1)/2 sum_i w_i P_j(s_i) f_i of the interpolant, and
+    int_-1^1 P_j(s) e^(i w s) ds = 2 i^j j_j(w) (DLMF 10.60) integrates each
+    exactly.  Returns the nodes, the matrix taking values to 2 i^j c_j,
+    and the one taking values to the series' value, first and second
+    s-derivatives at s = 1.  Built on first use, not at import.
     """
-    c = np.asarray(cum_sums, dtype=float)
-    rows, n = c.shape
-    last = c[:, -1]
-    mag = np.maximum(np.abs(last), 1e-30)
-    plain = [np.abs(last - c[:, n // 2]) < 1e-11 * mag]
-    # the power-law model only describes integrands whose panel increments
-    # decay regularly; sign flips in the increments, or a net change over
-    # the top octave much smaller than the traversed variation, mean the
-    # integrand oscillates in wavenumber (traveling fronts) and the
-    # converged plain sum is the honest answer
-    tail_inc = np.diff(c[:, -7:], axis=1)
-    significant = (np.abs(tail_inc) > 1e-14 * mag[:, None]) & (tail_inc.shape[1] >= 3)
-    plain.append(np.any(significant & (tail_inc > 0), axis=1)
-                 & np.any(significant & (tail_inc < 0), axis=1))
-    k_hi = edges_right[-1]
-    i_half = int(np.argmin(np.abs(edges_right - 0.5 * k_hi)))
-    moved = np.sum(np.abs(np.diff(c[:, i_half:], axis=1)), axis=1)
-    plain.append((i_half < n - 2) & (moved > 0) & (np.abs(last - c[:, i_half]) < 0.5 * moved))
-    idx = list(dict.fromkeys(int(np.argmin(np.abs(edges_right - k_hi / 2.0**j)))
-                             for j in range(4) if k_hi / 2.0**j >= edges_right[0]))
-    plain.append(np.full(rows, len(idx) < 3))
-    value = last
-    if len(idx) >= 3:
-        u, p = 1.0 / edges_right[idx], c[:, idx]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for level in range(1, len(idx)):  # Neville's scheme towards 1/k = 0
-                p = p[:, 1:] + (p[:, 1:] - p[:, :-1]) * u[level:] / (u[:-level] - u[level:])
-            value = p[:, 0]
-            plain.append(~np.isfinite(value) | (np.abs(value - last) > 0.5 * mag + 1e-12))
-    # the first rule that applies wins; a row that meets none keeps Neville's value
-    branch = np.argmax(plain + [np.ones(rows, dtype=bool)], axis=0)
-    return np.where(branch == _WIDE_BRANCHES.index("neville"), value, last), branch
-
-
-def _gauss_panels(edges, n_nodes):
-    gx, gw = np.polynomial.legendre.leggauss(n_nodes)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = mid[:, None] + half[:, None] * gx[None, :]
-    weights = half[:, None] * np.broadcast_to(gw, nodes.shape)
-    return nodes, weights
-
-
-def _layout_extent(spec, x_abs, k_c):
-    """Largest |x| and k_max of the layout serving positions ``x_abs``.
-
-    Unless the spec fixes k_max, the smallest nonzero |x| sets it; the 300
-    floor keeps the tail-fit window deep in the asymptotic regime even
-    when every requested position is near the origin.
-    """
-    nonzero = x_abs[x_abs > 0]
-    x_min = float(np.min(nonzero)) if nonzero.size else 1.0
-    x_max = float(np.max(x_abs)) if x_abs.size else 1.0
-    if spec.k_max is not None:
-        return x_max, spec.k_max
-    x_ref = max(x_min, 1e-2)
-    return x_max, min(max(40.0 / x_ref, 50.0 * max(k_c, 1e-6), 300.0), 5e3)
+    s, w = np.polynomial.legendre.leggauss(n)
+    j = np.arange(n)
+    to_coef = (j + 0.5) * w[:, None] * np.polynomial.legendre.legvander(s, n - 1)
+    at_one = np.stack((np.ones(n), j * (j + 1) / 2.0, (j - 1) * j * (j + 1) * (j + 2) / 8.0))
+    return s, to_coef * (2.0 * np.array([1, 1j, -1, -1j])[j % 4]), to_coef @ at_one.T
 
 
 def _fit_algebraic_tail(k_top, r_top, q):
@@ -297,8 +258,7 @@ def _fit_algebraic_tail(k_top, r_top, q):
     The product r*(k^2+q^2) is regressed against 1/k so the returned value
     is the k -> infinity limit, unbiased by the next (1/k^3) series term.
     Subtracting the fitted model and adding back its exact cosine
-    transform a*exp(-q|x|)/(2q) leaves a faster-decaying remainder for
-    truncation and extrapolation to absorb.
+    transform a*exp(-q|x|)/(2q) leaves a faster-decaying remainder.
     """
     vals = np.real(r_top) * (k_top**2 + q**2)
     if not np.all(np.isfinite(vals)):
@@ -316,24 +276,27 @@ def _fit_algebraic_tail(k_top, r_top, q):
     return a
 
 
-# entries of one (position x node) cosine table, which bounds a sub-chunk,
+# entries of one (position x node) Bessel table, which bounds a sub-chunk,
 # and of one (row x position x panel) array of panel sums, which bounds a block
 _CHUNK_ENTRIES = 1 << 16
 
 
 class _PanelLayout:
-    """Fixed panel set on [0, k_max] shared by every evaluation position.
+    """Fixed panel set on [0, K] shared by every evaluation position.
 
-    A fine segment covers [0, k_c] (for transport integrands the
-    eigenvalue branches kink there), uniform panels continue to k_max sized
-    so the fastest cosine still resolves; integrand values at the nodes
-    are reduced against any x with acceleration and exact tail add-backs.
-    A diffusive scale ``k_w`` below k_c (content of width ~3/k_w in x)
-    gets its own graded segment [0, k_w]; k_c stays a panel edge.
+    The panels resolve the integrand only; the oscillation e^(ikx) is
+    integrated exactly against each panel's Legendre series (Filon's rule),
+    so no position enters the layout.  A fine segment of 12 sine-graded
+    panels covers [0, k_c] (for transport integrands the eigenvalue
+    branches meet there); a diffusive scale ``k_w`` below k_c (content of
+    width ~3/k_w in x) gets its own 12 panels on [0, k_w], and k_c stays an
+    edge.  Above k_c the panels grow geometrically by ``_PANEL_RATIO`` up to
+    K: ``spec.k_max``, or ``_K_OVER_KC`` k_c (2e4 k_c) when it is None.
     """
 
-    def __init__(self, k_c, spec, x_max, k_max, k_w=np.inf):
-        self.spec = spec
+    def __init__(self, k_c, spec, k_w=np.inf):
+        n = spec.nodes_per_halfperiod
+        k_max = spec.k_max or _K_OVER_KC * k_c
         k_c = min(k_c, 0.5 * k_max)
         # sine grading clusters edges at k_c, where the eigenvalue branches
         # meet with square-root behavior on both sides
@@ -341,21 +304,19 @@ class _PanelLayout:
         edges_a = k_c * grading
         if k_w < k_c:
             edges_a = np.concatenate((k_w * grading, k_w + (k_c - k_w) * grading[1:-1], [k_c]))
-        width_cap = 25.0 / max(x_max, 0.5)
-        n_b = int(max(30, np.ceil((k_max - k_c) / width_cap)))
-        width_b = (k_max - k_c) / n_b
-        ramp = k_c + width_b * np.linspace(0.0, 1.0, 9) ** 2
-        uniform = np.linspace(k_c + width_b, k_max, n_b)
-        self.edges = np.concatenate((edges_a, ramp[1:], uniform[1:]))
-        self.n_seg_a = len(edges_a) - 1 + len(ramp) - 1
-        self.nodes, self.weights = _gauss_panels(self.edges, spec.nodes_per_halfperiod)
-        self.flat_nodes = self.nodes.ravel()
+        n_geo = int(np.ceil(np.log(k_max / k_c) / np.log(_PANEL_RATIO)))
+        edges_b = k_c * (k_max / k_c) ** (np.arange(1, n_geo + 1) / n_geo)
+        edges_b[-1] = k_max
+        self.edges = np.concatenate((edges_a, edges_b))
+        s, self._to_coef, self._to_ends = _legendre_tables(n)
+        self.half = 0.5 * np.diff(self.edges)
+        self.mid = 0.5 * (self.edges[1:] + self.edges[:-1])
+        self.flat_nodes = (self.mid[:, None] + self.half[:, None] * s).ravel()
         self.k_max = k_max
         self.q = max(k_c, 0.5)
-        n_top = (len(self.edges) - 1 - self.n_seg_a) // 3 * spec.nodes_per_halfperiod
-        self._top = slice(-max(n_top, 2 * spec.nodes_per_halfperiod), None)
+        self._top = slice(-3 * n, None)  # the fitted tail's window: the top three panels
 
-    def reduce(self, f_rows, x, tail=None, mollifier_width=None):
+    def reduce(self, f_rows, x, tail=None, mollifier_width=None, ends=True):
         """Invert rows of integrand values at ``flat_nodes`` onto positions ``x``.
 
         ``f_rows`` (rows, nodes) may be complex (Hermitian integrand, signed
@@ -363,27 +324,24 @@ class _PanelLayout:
         integrand gives (rows, nodes) and transform (rows, positions), is
         subtracted and its transform added back.  A ``mollifier_width``
         multiplies the integrand by a Gaussian of that width; once it has
-        died by k_max (k_max * width > 5) the integrand is complete: its
-        plain panel sum is the value, and extrapolation or a fitted tail
-        would only model the cutoff shape.  Otherwise a fitted a/(k^2+q^2)
-        tail is subtracted from each row and added back.
+        died by K (K * width > 5) the integrand is complete: its plain
+        panel sum is the value, and a fitted tail would only model the
+        cutoff shape.  Otherwise a fitted a/(k^2+q^2) tail is subtracted
+        from each row and added back, and, with ``ends``, the remainder r
+        past K is e^(iKx)(i r/x - r'/x^2 - i r''/x^3) from the last panel's
+        series where K|x| >= 10; nearer the origin it is dropped (it is at
+        most the integral of |r| past K).
 
         Each distinct position is reduced once and its value scattered to
         every copy; only exactly equal values merge, so mirror positions
         that differ in their last bits stay separate.  The distinct
         positions go in blocks whose panel sums (rows x positions x panels)
-        hold at most ``_CHUNK_ENTRIES`` entries, a whole number of cosine
-        sub-chunks of at most ``_CHUNK_ENTRIES`` table entries each; each
-        block is accelerated in one pass before the next starts.  One pass
-        over all positions would hold every panel sum and Wynn table at
-        once: on 801 positions at three times the peak RSS went from 61 to
-        81 MB.  Every step works row by row and position by position, so a
-        value does not depend on the other positions of the call.  The
-        blocks run on the calling thread: a sub-chunk's cosine table
-        releases the GIL, but the acceleration is many small array
-        operations that hold it, so on two threads the chunks waited on
-        each other and the solve time varied from run to run by more than
-        the threads saved.  Raises QuadratureError if a value is not finite.
+        hold at most ``_CHUNK_ENTRIES`` entries, a whole number of Bessel
+        sub-chunks of at most ``_CHUNK_ENTRIES`` table entries each.  Every
+        step works row by row and position by position, and the layout
+        does not depend on the positions, so a value does not depend on the
+        other positions of the call.  Raises QuadratureError if a value is
+        not finite.
         """
         nodes = self.flat_nodes
         f_rows = np.array(f_rows, ndmin=2)
@@ -395,21 +353,26 @@ class _PanelLayout:
         a_alg = np.array([0.0 if complete else _fit_algebraic_tail(
             nodes[self._top], row[self._top], self.q) for row in f_rows])
         f_rows = f_rows - a_alg[:, None] / (nodes**2 + self.q**2)
-        panel_f = f_rows.reshape(len(f_rows), *self.nodes.shape)
-        w_re = self.weights * panel_f.real
-        w_im = self.weights * panel_f.imag if np.iscomplexobj(panel_f) else None
+        panel_f = f_rows.reshape(len(f_rows), len(self.half), -1)
+        # einsum, not matmul: a first complex matmul sets up BLAS's complex
+        # kernels, +0.25 MB of peak RSS on a subordinate run
+        coef = np.einsum("tpi,ij->tpj", panel_f, self._to_coef) * self.half[:, None]
+        coef = (np.ascontiguousarray(coef.real), np.ascontiguousarray(coef.imag))
+        end = None
+        if ends and not complete:
+            end = panel_f[:, -1] @ self._to_ends / self.half[-1] ** np.arange(3)
         x = np.asarray(x, dtype=float)
         distinct, inverse = np.unique(x, return_inverse=True)
         values = np.empty((len(f_rows), distinct.size))
         chunk = max(1, _CHUNK_ENTRIES // nodes.size)
-        block = max(1, _CHUNK_ENTRIES // (len(f_rows) * len(self.nodes)))
+        block = max(1, _CHUNK_ENTRIES // (len(f_rows) * len(self.half)))
         chunk = min(chunk, block)
         block -= block % chunk
         for lo in range(0, distinct.size, block):
             xb = distinct[lo:lo + block]
-            panels = np.concatenate([self._panel_sums(xb[i:i + chunk], w_re, w_im)
+            panels = np.concatenate([self._panel_sums(xb[i:i + chunk], coef)
                                      for i in range(0, xb.size, chunk)], axis=1)
-            values[:, lo:lo + block] = self._accelerate(panels, xb, complete)
+            values[:, lo:lo + block] = self._filon_sum(panels, xb, end)
         # Hermitian integrand: (1/2pi) * 2 Re
         values = values / np.pi + (a_alg[:, None] * np.exp(-self.q * np.abs(distinct))
                                    / (2.0 * self.q))
@@ -419,39 +382,30 @@ class _PanelLayout:
         finite = np.all(np.isfinite(values), axis=0)
         if not np.all(finite):
             raise QuadratureError("half-line inversion gave a non-finite value",
-                                  panels=len(self.edges) - 1, detail={"x": x[~finite]})
+                                  panels=len(self.half), detail={"x": x[~finite]})
         return values
 
-    def _panel_sums(self, x, w_re, w_im):
-        """Panel sums (rows, positions, panels) of the weighted integrand
-        against cos(kx), less sin(kx) against its imaginary part."""
-        phase = np.multiply.outer(x, self.nodes)
-        panels = np.einsum("xpn,tpn->txp", np.cos(phase), w_re)
-        if w_im is not None:
-            panels -= np.einsum("xpn,tpn->txp", np.sin(phase), w_im)
-        return panels
+    def _panel_sums(self, x, coef):
+        """Panel integrals (rows, positions, panels) of Re e^(ikx) f(k): per
+        panel e^(i mid x) sum_j 2 i^j c_j h j_j(h x) with ``coef`` the real
+        and imaginary parts of 2 i^j c_j h."""
+        omega = np.multiply.outer(x, self.half)
+        bessel = _spherical_jn(coef[0].shape[-1], omega)
+        bessel[..., 1::2] *= np.sign(omega)[..., None]  # j_j(-w) = (-1)^j j_j(w)
+        phase = np.multiply.outer(x, self.mid)
+        return (np.cos(phase) * np.einsum("xpn,tpn->txp", bessel, coef[0])
+                - np.sin(phase) * np.einsum("xpn,tpn->txp", bessel, coef[1]))
 
-    def _accelerate(self, panels, x, complete):
-        """Limits of panel sums (rows, positions, panels): the plain sum when
-        ``complete``, else Wynn's epsilon (plain sum where it does not settle)
-        where the uniform panels span three periods, else the wide rule."""
-        head = np.sum(panels[..., :self.n_seg_a], axis=-1)
-        sums = head[..., None] + np.cumsum(panels[..., self.n_seg_a:], axis=-1)
-        out = sums[..., -1].copy()
-        if complete:
-            return out
-        n_rows, n_sums = len(sums), sums.shape[-1]
-        wynn = np.abs(x) * (self.edges[-1] - self.edges[self.n_seg_a]) >= 6.0 * np.pi
-        if np.any(wynn):
-            s = sums[:, wynn].reshape(-1, n_sums)
-            value, spread = _wynn_epsilon(s[:, -(2 * self.spec.acceleration_order + 1):])
-            unsettled = ~np.isfinite(value) | (
-                spread > 1e-3 * np.maximum(np.max(np.abs(s), axis=1), 1e-30))
-            out[:, wynn] = np.where(unsettled, s[:, -1], value).reshape(n_rows, -1)
-        if not np.all(wynn):
-            value, _ = _extrapolate_wide(sums[:, ~wynn].reshape(-1, n_sums),
-                                         self.edges[self.n_seg_a + 1:])
-            out[:, ~wynn] = value.reshape(n_rows, -1)
+    def _filon_sum(self, panels, x, end):
+        """Sum of the panel integrals (rows, positions, panels) of positions
+        ``x``, plus the end-point terms of the remainder past K when ``end``
+        holds its value and k-derivatives at K, one row per integrand row."""
+        out = np.sum(panels, axis=-1)
+        far = np.abs(x) * self.k_max >= 10.0
+        if end is not None and np.any(far):
+            xf = x[far]
+            series = (1j * end[:, :1] / xf - end[:, 1:2] / xf**2 - 1j * end[:, 2:] / xf**3)
+            out[:, far] += (np.exp(1j * self.k_max * xf) * series).real
         return out
 
 
@@ -461,21 +415,21 @@ def fourier_inversion(f, x, spec=None, k_c=1.0, mollifier_width=None):
     ``f`` is a vectorized integrand of a wavenumber array and may return
     complex values.  ``x`` is a position of any sign (returns a float) or
     an array of them (returns an array of its shape).  One panel layout
-    serves every position: the smallest nonzero |x| sets its k_max unless
-    ``spec`` fixes it, and the largest |x| its panel width.  ``f`` is
-    evaluated once at the layout's nodes and every position goes through
-    the shared accelerated reduction.  ``k_c`` is the integrand's
-    wavenumber scale: fine panels cover [0, k_c], and it enters the
-    automatic k_max.  ``spec.tail_mode`` is not read.  A
-    ``mollifier_width`` multiplies ``f`` by a Gaussian of that width (see
-    ``_PanelLayout.reduce``).  Raises QuadratureError if a value is not
-    finite.
+    serves every position: ``k_c`` is the integrand's wavenumber scale
+    (fine panels cover [0, k_c], geometric ones continue to K =
+    ``spec.k_max``, or 2e4 k_c when it is None); no position enters it, so
+    a value does not depend on the rest of its grid.  ``f`` is evaluated
+    once at the layout's nodes and every position goes through the shared
+    Filon reduction, with the end-point terms past K.  ``spec.tail_mode``
+    is not read.  A ``mollifier_width`` multiplies ``f`` by a Gaussian of
+    that width (see ``_PanelLayout.reduce``).  Raises QuadratureError if a
+    value is not finite.
     """
     spec = spec or QuadratureSpec()
     x_arr = np.asarray(x, dtype=float)
-    x_flat = x_arr.ravel()
-    layout = _PanelLayout(k_c, spec, *_layout_extent(spec, np.abs(x_flat), k_c))
-    values = layout.reduce(f(layout.flat_nodes), x_flat, mollifier_width=mollifier_width)[0]
+    layout = _PanelLayout(k_c, spec)
+    values = layout.reduce(f(layout.flat_nodes), x_arr.ravel(),
+                           mollifier_width=mollifier_width)[0]
     return float(values[0]) if x_arr.ndim == 0 else values.reshape(x_arr.shape)
 
 
@@ -493,9 +447,9 @@ def _tail_model_for(params, times):
     """Large-k integrand limits E_2a(-(vk t^a)^2 / 3), one row per time,
     and their transforms M_a(|x|/c)/(2c), c = v t^a/sqrt(3).
 
-    The transforms of every time are one ``m_wright`` call, whose values do
-    not depend on the other points of the call; the integrand stays one
-    ``mittag_leffler`` call per time, since its series values can.
+    The integrands of every time are one ``mittag_leffler`` call and the
+    transforms one ``m_wright`` call; neither function's value at a point
+    depends on the other points of its call.
     """
     alpha, v = params.alpha, params.v
     if alpha >= 1.0:
@@ -503,8 +457,7 @@ def _tail_model_for(params, times):
     c = np.array([v * t**alpha / np.sqrt(3.0) for t in times])
 
     def tail_integrand(k):
-        return np.array([mittag_leffler(2.0 * alpha, -((np.asarray(k) * c_t) ** 2)).real
-                         for c_t in c])
+        return mittag_leffler(2.0 * alpha, -np.multiply.outer(c, k) ** 2).real
 
     def tail_transform(x):
         scaled = np.abs(x) / c[:, None]
@@ -518,22 +471,19 @@ class _EnergyLayout(_PanelLayout):
 
     The fine segment ends at the medium's critical wavenumber, and
     ``reduce`` applies the energy-density policy: an optional Gaussian
-    mollifier, or else the analytic large-k tail when the spec asks for it.
-    Given the largest time ``t_max``, the fine segment also resolves the
-    diffusive width w = sqrt(D0 t_max^alpha): it is graded on [0, 3/w]
-    whenever 3/w < k_c, that is once t_max^alpha > 36 / (sigma_s (1 - g)).
+    mollifier, or else the analytic large-k tail when the spec asks for it,
+    and the end-point terms past K only for alpha < 1 (at alpha = 1 the
+    front terms of the integrand do not decay, and the plain sum is the
+    value).  Given the largest time ``t_max``, the fine segment also
+    resolves the diffusive width w = sqrt(D0 t_max^alpha): it is graded on
+    [0, 3/w] whenever 3/w < k_c, that is once
+    t_max^alpha > 36 / (sigma_s (1 - g)).
     """
 
-    def __init__(self, params, spec, x_max, k_max, t_max=None):
+    def __init__(self, params, spec, t_max=None):
         k_w = np.inf if t_max is None else 3.0 / np.sqrt(d0(params) * t_max**params.alpha)
-        super().__init__(critical_wavenumber(params), spec, x_max, k_max, k_w)
-        self.params = params
-
-    @classmethod
-    def for_positions(cls, params, spec, x_abs, t_max=None):
-        """Layout for positions ``x_abs`` (see :func:`_layout_extent`) up to time ``t_max``."""
-        return cls(params, spec, *_layout_extent(spec, x_abs, critical_wavenumber(params)),
-                   t_max)
+        super().__init__(critical_wavenumber(params), spec, k_w)
+        self.params, self.spec = params, spec
 
     def reduce(self, u_hat, x_abs, times, mollifier_width=None):
         """Cosine-transform node values, one row per time, onto positions:
@@ -544,7 +494,8 @@ class _EnergyLayout(_PanelLayout):
         if not mollifier_width and self.spec.tail_mode == "asymptotic_subtraction":
             tail = _tail_model_for(self.params, np.atleast_1d(times))
         values = super().reduce(np.asarray(u_hat, dtype=float), x_abs, tail=tail,
-                                mollifier_width=mollifier_width)
+                                mollifier_width=mollifier_width,
+                                ends=self.params.alpha < 1.0)
         return values[0] if np.ndim(times) == 0 else values
 
 
@@ -560,7 +511,7 @@ def _modal_density(x_abs, times, params, N, mode, spec, factors, mollifier_width
     conj factors(lam): true of the Mittag-Leffler factor and of any real
     exp-kernel fold.  One reduction maps every time onto the positions.
     """
-    layout = _EnergyLayout.for_positions(params, spec, x_abs, max(times))
+    layout = _EnergyLayout(params, spec, max(times))
     lam, w = _mode_weights_batch(layout.flat_nodes, params, N, mode)
     upper = lam.imag >= 0  # one mode of each conjugate pair, and every real mode
     w = np.where(lam.imag > 0, 2 * w, w)[upper]
@@ -657,7 +608,7 @@ def energy_density_closed_p1(x, t, params, spec=None):
     spec = spec or QuadratureSpec()
     x_arr = np.asarray(x, dtype=float)
     x_abs = np.abs(x_arr.ravel())
-    layout = _EnergyLayout.for_positions(params, spec, x_abs, t)
+    layout = _EnergyLayout(params, spec, t)
     vals = layout.reduce(_closed_p1_integrand(layout.flat_nodes, t, params), x_abs, t)
     return float(vals[0]) if x_arr.ndim == 0 else vals.reshape(x_arr.shape)
 
@@ -682,7 +633,8 @@ def ballistic_density(x, mu, mu0, t, params, spec=None, mollifier_width=0.01):
     eps = mollifier_width
 
     # at 16/eps the mollifier is below e^-32 over the top half of the range,
-    # so the plain panel sum is the value (the automatic k_max can end early)
+    # so the plain panel sum is the value for every eps (the default K, 2e4
+    # k_c, is complete only for eps > 2.5e-4 / k_c)
     spec = spec or QuadratureSpec(k_max=16.0 / eps if eps > 0 else None)
     return fourier_inversion(
         lambda k: mittag_leffler(alpha, -(1j * k * v * mu0 + sig_t) * t**alpha),

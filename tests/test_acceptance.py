@@ -232,7 +232,7 @@ def test_criterion_6_collision_split():
 
 def _mollified_transport(xs, times, m, eps, spec):
     """Shared-layout mollified density, one layout for all times."""
-    layout = _EnergyLayout(m, spec, float(np.max(np.abs(xs))), spec.k_max)
+    layout = _EnergyLayout(m, spec)
     lam, w = _mode_weights_batch(layout.flat_nodes, m, 1, "exact")
     out = []
     for t in times:

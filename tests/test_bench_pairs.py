@@ -128,3 +128,37 @@ class TestVerdicts:
         assert not gain(2, 10)
         assert not gain(11, 100)  # 110 of 1000 against 10 of 100
         assert not gain(0, 10, correct=False)
+
+
+class TestClaim:
+    FILES = {
+        "BENCHMARK.json": '{"end_to_end": [{"name": "solve_s", "better": "lower", '
+                          '"bound": 0.25}]}\n',
+        "perfbench/run.py": 'print(\'{"failed": 0, "attempted": 1, "correct": true, '
+                            '"metrics": {"solve_s": {"value": 1.0}}}\')\n',
+    }
+
+    def _main(self, tmp_path, *extra):
+        a = _checkout(tmp_path / "a", self.FILES)
+        b = _checkout(tmp_path / "b", self.FILES)
+        out = tmp_path / "out.json"
+        bench_pairs.main([a, b, "--workload", "ctrw:1", "--out", str(out), *extra])
+        return json.loads(out.read_text())
+
+    def test_written_as_claimed(self, tmp_path):
+        result = self._main(tmp_path, "--claim", "ctrw:solve_s")
+        assert result["claimed"] == {"workload": "ctrw", "metric": "solve_s"}
+        assert result["workloads"]["ctrw"]["solve_s"]["per_pair"] == [[1.0, 1.0]]
+
+    def test_null_without_a_claim(self, tmp_path):
+        assert self._main(tmp_path)["claimed"] is None
+
+    @pytest.mark.parametrize("claim", ["transport_pn:solve_s", "ctrw:wall_s"])
+    def test_refuses_a_workload_not_run_or_an_unknown_metric(self, tmp_path, claim):
+        with pytest.raises(SystemExit, match="--claim"):
+            self._main(tmp_path, "--claim", claim)
+        assert not (tmp_path / "out.json").exists()
+
+    def test_refuses_a_malformed_claim(self, tmp_path):
+        with pytest.raises(SystemExit):
+            self._main(tmp_path, "--claim", "ctrw")

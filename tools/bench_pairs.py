@@ -3,7 +3,7 @@
 Usage (from anywhere; standard library only):
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload ctrw:10 \
-        --workload transport_wide:6 \
+        --workload transport_wide:6 --claim ctrw:solve_s \
         --description "what the change does" --out BENCH_<n>.json
 
 Each ``--workload NAME[:PAIRS]`` gets PAIRS pairs (default 10) on the seeds
@@ -29,7 +29,9 @@ ratio of the medians, every pair as ``[parent, change]`` and three verdicts:
   (relative to its median), and not every change run beats every parent
   run.
 
-Per side the
+``--claim WORKLOAD:METRIC`` names the gain the change claims; it is
+written as ``"claimed"`` (null without it) and must name a workload that
+is run and an end-to-end metric.  Per side the
 failed and attempted calls and whether every run was correct; and the
 host's core count and versions.  The two checkouts must have identical
 ``perfbench/`` trees and ``BENCHMARK.json``, so that both sides run the same
@@ -148,12 +150,21 @@ def parse_workload(text):
     return name, int(pairs) if pairs else 10
 
 
+def parse_claim(text):
+    workload, sep, metric = text.partition(":")
+    if not (workload and sep and metric):
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:METRIC, got {text!r}")
+    return {"workload": workload, "metric": metric}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="checkout of the parent commit")
     parser.add_argument("change", help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True, type=parse_workload,
                         help="NAME[:PAIRS], repeatable; PAIRS defaults to 10")
+    parser.add_argument("--claim", type=parse_claim,
+                        help="WORKLOAD:METRIC of the claimed gain, written as \"claimed\"")
     parser.add_argument("--description", default="")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
@@ -165,6 +176,10 @@ def main(argv=None):
                  + ", ".join(differ))
     with open(os.path.join(parent, "BENCHMARK.json"), encoding="utf-8") as fh:
         specs = json.load(fh)["end_to_end"]
+    if args.claim and (args.claim["workload"] not in dict(args.workload)
+                       or args.claim["metric"] not in {s["name"] for s in specs}):
+        sys.exit(f"error: --claim {args.claim['workload']}:{args.claim['metric']} names no "
+                 "workload that is run or no end-to-end metric")
     roots = {"parent": parent, "change": change}
 
     workloads = {}
@@ -190,7 +205,7 @@ def main(argv=None):
                     "order alternating per seed (odd seeds parent first); values are the "
                     "quartiles and median over the runs of each side; per_pair lists "
                     "[parent, change]; ties count as neither win nor loss",
-        "claimed": None,
+        "claimed": args.claim,
         "workloads": workloads,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
