@@ -64,7 +64,8 @@ class ResolventError(NumericalError):
 
 class QuadratureError(NumericalError):
     """Oscillatory quadrature gave a non-finite value or could not displace
-    a defective wavenumber.
+    a defective wavenumber, or an operational-time kernel node left the
+    floating-point range.
 
     Attributes
     ----------

@@ -1,15 +1,14 @@
 """Mittag-Leffler and M-Wright special functions.
 
 ``mittag_leffler`` evaluates E_a(z) = sum_n z^n / Gamma(a*n + 1) for complex
-z: the Taylor series on the unit disc, an optimal-truncation asymptotic
-expansion far out where it converges, and elsewhere one contour rule, the
-trapezoid rule on a parabola around the branch cut plus the residue of the
-resolvent pole right of it.  ``m_wright`` evaluates the self-similar
-profile M_nu(x) of fractional diffusion, and ``stable_density`` the
-one-sided stable density f_alpha(t) = alpha t^(-1-alpha) M_alpha(t^(-alpha))
-(Mainardi, Mura & Pagnini, Int. J. Differ. Equ. 2010, 104505).  The two
-share one route split: the M-Wright series where it certifies its
-sum, and Zolotarev's angular integral for the points it leaves.
+z by one contour rule at every z != 0: the trapezoid rule on a parabola
+around the branch cut plus the residue of the resolvent pole right of it.
+``m_wright`` evaluates the self-similar profile M_nu(x) of fractional
+diffusion, and ``stable_density`` the one-sided stable density
+f_alpha(t) = alpha t^(-1-alpha) M_alpha(t^(-alpha)) (Mainardi, Mura &
+Pagnini, Int. J. Differ. Equ. 2010, 104505).  The two share one route
+split: the M-Wright series where it certifies its sum, and Zolotarev's
+angular integral for the points it leaves.
 ``f_alpha_half`` is the closed form of the inverse-Laplace kernel of
 exp(-sqrt(s)).
 
@@ -17,8 +16,9 @@ All functions are pure and accept scalars or numpy arrays in the main
 argument; they are safe to call concurrently.  Every step runs on arrays
 and each series stops point by point, so a point's value does not depend
 on the other points of the call.
-``scipy.special`` is imported inside the series that need Gamma values,
-not with the module, so importing the package does not load it.
+``scipy.special`` is imported inside the M-Wright series, the one place
+that needs Gamma values, not with the module, so importing the package
+does not load it.
 """
 
 from __future__ import annotations
@@ -31,21 +31,12 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = ["mittag_leffler", "m_wright", "f_alpha_half", "stable_density"]
 
-# Region boundaries and tolerances: the Taylor series serves |z| <= 1; the
-# asymptotic expansion is attempted from a threshold that never exceeds
-# |z| = 10 (it shrinks for small orders, where the expansion converges
-# earlier); series stop at the relative tolerance or fail after the term cap.
-_SERIES_RADIUS = 1.0
-_ASYMPTOTIC_RADIUS = 10.0
-_RTOL = 1e-11
-_MAX_TERMS = 500
-
 # Parabolic contour s(u) = mu (1 + iu)^2: the trapezoid rule on 2 _ML_NODES + 1
 # nodes, cut where |e^s| = e^(mu (1 - u^2)) falls to e^-_ML_TRUNCATION.  mu comes
 # from a fixed geometric grid, so points with the same mu share their nodes.
 _ML_NODES = 48
 _ML_TRUNCATION = 36.8
-_ML_CHUNK_ENTRIES = 1 << 16  # (points x nodes) entries per block
+_ML_CHUNK_ENTRIES = 1 << 14  # (points x nodes) entries per block, 256 KiB each
 
 
 @functools.cache
@@ -68,99 +59,6 @@ def _ml_grid():
         mu + 0.5 * np.log(h) + np.log(np.finfo(float).eps),
     ])
     return mu, h, error
-
-
-def _neumaier_sum_inplace(total, comp, term):
-    """One compensated-summation step; returns updated (total, comp)."""
-    t = total + term
-    comp = comp + np.where(
-        np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total
-    )
-    return t, comp
-
-
-def _ml_series(alpha, z, rtol, max_terms):
-    """Taylor series with compensated accumulation, over a 1-D array z.
-
-    Each point stops once two successive terms fall below ``rtol`` of its
-    sum and leaves the active set, so its value does not depend on the
-    other points of the call.
-    """
-    from scipy.special import rgamma
-
-    z = np.asarray(z, dtype=complex)
-    out = np.empty_like(z)
-    idx, zs = np.arange(z.size), z
-    total = np.ones_like(z)
-    comp = np.zeros_like(z)
-    power = np.ones_like(z)
-    small_count = np.zeros(z.shape, dtype=int)
-    for n in range(1, max_terms + 1):
-        power = power * zs
-        term = power * rgamma(alpha * n + 1.0)
-        total, comp = _neumaier_sum_inplace(total, comp, term)
-        scale = np.maximum(np.abs(total + comp), 1e-300)
-        small_count = np.where(np.abs(term) <= rtol * scale, small_count + 1, 0)
-        done = small_count >= 2
-        if np.any(done):
-            out[idx[done]] = total[done] + comp[done]
-            keep = ~done
-            idx, zs, total, comp, power, small_count = (
-                a[keep] for a in (idx, zs, total, comp, power, small_count))
-            if idx.size == 0:
-                return out
-    raise ConvergenceError(
-        f"Mittag-Leffler series did not converge in {max_terms} terms",
-        region="series",
-        detail={"alpha": alpha, "max_abs_z": float(np.max(np.abs(z)))},
-    )
-
-
-def _ml_asymptotic(alpha, z, rtol, max_terms=220):
-    """Optimal-truncation asymptotic expansion.
-
-    Returns ``(values, ok)`` where ``ok`` marks points at which the
-    expansion reached ``rtol`` before its terms started to grow.  The
-    exponential term exp(z**(1/alpha))/alpha is included exactly on the
-    sheet |arg z| <= alpha*pi where the resolvent pole exists.
-    """
-    from scipy.special import rgamma
-
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        expo = np.where(
-            np.abs(np.angle(z)) <= alpha * np.pi + 1e-15,
-            np.exp(z ** (1.0 / alpha)) / alpha,
-            0.0,
-        )
-    total = np.array(expo, dtype=complex)
-    inv = 1.0 / z
-    power = np.ones_like(z)
-    prev_mag = np.full(z.shape, np.inf)
-    ok = np.zeros(z.shape, dtype=bool)
-    frozen = np.zeros(z.shape, dtype=bool)  # stopped (converged or diverging)
-    small_count = np.zeros(z.shape, dtype=int)
-    for n in range(1, max_terms + 1):
-        power = power * inv
-        coef = rgamma(1.0 - alpha * n)
-        term = -power * coef
-        mag = np.abs(term)
-        growing = (mag > prev_mag) & (mag > 0)
-        # freeze points whose terms started growing; they keep their sum
-        frozen = frozen | growing
-        total = np.where(frozen, total, total + term)
-        scale = np.maximum(np.abs(total), 1e-300)
-        nonzero = mag > 0
-        small_count = np.where(
-            frozen, small_count, np.where(mag <= 0.1 * rtol * scale, small_count + 1, np.where(nonzero, 0, small_count))
-        )
-        newly_ok = (~frozen) & (small_count >= 2)
-        ok = ok | newly_ok
-        frozen = frozen | newly_ok
-        prev_mag = np.where(nonzero, mag, prev_mag)
-        if np.all(frozen):
-            break
-    return total, ok
 
 
 def _ml_parabola(alpha, z):
@@ -207,31 +105,11 @@ def _ml_parabola(alpha, z):
     return out
 
 
-def _asymptotic_attempt_radius(alpha, rtol):
-    """Smallest |z| at which the asymptotic expansion can reach rtol.
-
-    The superasymptotic error scale is exp(-|z|**(1/alpha)); require that
-    to undercut rtol with margin.
-    """
-    return max(2.0, (-np.log(rtol * 1e-3)) ** alpha)
-
-
-def _ml_eval_core(alpha, z):
-    """Route a flat complex array: Taylor series for |z| <= 1, the asymptotic
-    series where it converges, and the parabolic contour for the rest."""
-    out = np.empty(z.shape, dtype=complex)
-    near = np.abs(z) <= _SERIES_RADIUS
-    if np.any(near):
-        out[near] = _ml_series(alpha, z[near], _RTOL, _MAX_TERMS)
-    rest = np.flatnonzero(~near)
-    attempt = rest[np.abs(z[rest]) >= min(
-        _asymptotic_attempt_radius(alpha, _RTOL), _ASYMPTOTIC_RADIUS)]
-    if attempt.size:
-        values, ok = _ml_asymptotic(alpha, z[attempt], _RTOL)
-        out[attempt[ok]] = values[ok]
-        rest = np.setdiff1d(rest, attempt[ok], assume_unique=True)
-    if rest.size:
-        out[rest] = _ml_parabola(alpha, z[rest])
+def _ml_eval(alpha, z):
+    """E_alpha over a flat complex array: exactly 1 at z = 0, the contour elsewhere."""
+    out = np.ones(z.shape, dtype=complex)
+    nonzero = z != 0
+    out[nonzero] = _ml_parabola(alpha, z[nonzero])
     return out
 
 
@@ -255,16 +133,17 @@ def mittag_leffler(alpha, z):
     ------
     DomainError
         For non-finite z or alpha outside (0, 2].
-    ConvergenceError
-        If an internal series exceeds its term budget.
 
     Notes
     -----
-    The Taylor series serves |z| <= 1 and the asymptotic series the points
-    where it reaches 1e-11 (both stop there); the parabolic contour of
-    :func:`_ml_parabola` serves the rest, within about 1e-14 relative of a
-    32-digit oracle on the solvers' arguments.  E(conj z) = conj E(z) bit
-    for bit.
+    Every z != 0 takes the parabolic contour of :func:`_ml_parabola`;
+    z = 0 does not.  Against 32-digit Taylor and 40-digit asymptotic
+    oracles the relative error is within 6.2e-16 on the unit disc, at
+    50 <= |z| <= 5119 on the transport layouts and at orders 0.02 and
+    0.05, and within 1.1e-14 for 1 < |z| <= 10, where |E| can be small
+    (an absolute 5.5e-16 at |E| = 0.05).  At alpha = 1, where E = e^z
+    decays exponentially to the left, the error is absolute, up to about
+    6e-18 for Re z <= -30.  E(conj z) = conj E(z) bit for bit.
     """
     if not np.isfinite(alpha) or not (0.0 < alpha <= 2.0):
         raise DomainError(f"order alpha must be in (0, 2], got {alpha}")
@@ -276,16 +155,29 @@ def mittag_leffler(alpha, z):
 
     if alpha > 1.0:
         w = np.sqrt(z_flat)
-        out = 0.5 * (_ml_eval_core(alpha / 2.0, w) + _ml_eval_core(alpha / 2.0, -w))
+        out = 0.5 * (_ml_eval(alpha / 2.0, w) + _ml_eval(alpha / 2.0, -w))
     else:
-        out = _ml_eval_core(alpha, z_flat)
+        out = _ml_eval(alpha, z_flat)
     out = out.reshape(z_arr.shape) if not scalar else out[0]
     return complex(out) if scalar else out
 
 
 # -- M-Wright and the one-sided stable kernel ---------------------------
 
+# The M-Wright series serves x <= _MW_SERIES_XMAX; it stops at the relative
+# tolerance or leaves its points to Zolotarev's integral after the term cap.
 _MW_SERIES_XMAX = 12.0
+_RTOL = 1e-11
+_MAX_TERMS = 500
+
+
+def _neumaier_sum_inplace(total, comp, term):
+    """One compensated-summation step; returns updated (total, comp)."""
+    t = total + term
+    comp = comp + np.where(
+        np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total
+    )
+    return t, comp
 
 
 def _m_wright_series(nu, x, rtol, max_terms):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .specfun import stable_density
 from .transport import DensityField, QuadratureSpec, _modal_density
 
@@ -28,6 +28,9 @@ def kernel_phi(tau, t, alpha):
 
     f_alpha comes from :func:`~fracrte.specfun.stable_density`: its closed
     form at half order, else its certified series or Zolotarev's integral.
+    Raises :class:`~fracrte.errors.QuadratureError` where t / tau^(1/alpha)
+    overflows or underflows, which at small alpha happens on the nodes of
+    :func:`build_kernel`'s default span.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
@@ -36,7 +39,11 @@ def kernel_phi(tau, t, alpha):
     tau_flat = np.atleast_1d(tau_arr).ravel()
     if np.any(tau_flat <= 0) or t <= 0:
         raise DomainError("tau and t must be positive")
-    arg = t / tau_flat ** (1.0 / alpha)
+    with np.errstate(divide="ignore", over="ignore"):
+        arg = t / tau_flat ** (1.0 / alpha)
+    if not np.all(np.isfinite(arg) & (arg > 0.0)):
+        raise QuadratureError(f"kernel argument t / tau^(1/alpha) leaves the floating-point "
+                              f"range at alpha={alpha}, t={t}")
     out = t / (alpha * tau_flat ** (1.0 + 1.0 / alpha)) * stable_density(alpha, arg)
     out = out.reshape(tau_arr.shape) if not scalar else out[0]
     return float(out) if scalar else out

@@ -159,12 +159,25 @@ def test_invalid_physical_input_is_usage_error(argv, tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    # the Mittag-Leffler series exhausts its term budget at this tiny order
-    argv = ["diffusion", "--alpha", "0.02", "--sigma-a", "1", "--n-x", "5"]
+    # at this tiny order t / tau^(1/alpha) overflows on the subordination
+    # kernel's lowest nodes: valid input past a numerical limit
+    argv = ["subordinate", "--alpha", "0.03", "--n-x", "5"]
     assert main(argv + ["--output-path", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: numerical failure: ")
+    assert "alpha=0.03" in err
     assert err.count("\n") == 1
+
+
+def test_tiny_order_mittag_leffler_succeeds(tmp_path, capsys):
+    # the Mittag-Leffler contour serves alpha = 0.02, where a Taylor series
+    # once ran out of terms and this run exited 4
+    argv = ["diffusion", "--alpha", "0.02", "--sigma-a", "1", "--n-x", "5"]
+    assert main(argv + ["--output-path", str(tmp_path)]) == 0
+    values = np.loadtxt(tmp_path / "diffusion_alpha0.02_t0.05.csv", delimiter=",",
+                        skiprows=1, usecols=1)
+    assert np.all(np.isfinite(values))
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.slow

@@ -39,6 +39,16 @@ def test_largest_move_as_share_of_max_u(tmp_path):
     assert compare_outputs.compare_dirs(a, b) == "largest move 0.5 of max|U| (b.csv, x=1)"
 
 
+def test_move_off_origin_follows_a_move_at_origin(tmp_path):
+    # the largest move sits at x = 0, so the largest move at x != 0 follows,
+    # here in the other file
+    a = _dir(tmp_path / "a", {"a.csv": _csv(ROWS), "b.csv": _csv(ROWS)})
+    b = _dir(tmp_path / "b", {"a.csv": _csv([(-1, 0.25), (0, 1.0), (1, 0.25)]),
+                              "b.csv": _csv([(-1, 0.375), (0, 2.0), (1, 0.25)])})
+    assert compare_outputs.compare_dirs(a, b) == (
+        "largest move 0.5 of max|U| (a.csv, x=0); off x = 0 0.062 (b.csv, x=-1)")
+
+
 def test_missing_file(tmp_path):
     a = _dir(tmp_path / "a", {"a.csv": _csv(ROWS), "b.csv": _csv(ROWS)})
     b = _dir(tmp_path / "b", {"a.csv": _csv(ROWS)})

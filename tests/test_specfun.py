@@ -13,14 +13,11 @@ from scipy.special import erfc, wofz
 
 from fracrte.errors import DomainError
 from fracrte.specfun import (
-    _ASYMPTOTIC_RADIUS,
     _MAX_TERMS,
     _RTOL,
-    _asymptotic_attempt_radius,
     _m_wright_routed,
     _m_wright_series,
     _ml_grid,
-    _ml_parabola,
     f_alpha_half,
     m_wright,
     mittag_leffler,
@@ -42,8 +39,12 @@ class TestMittagLeffler:
         assert mittag_leffler(1.0, 1.0) == pytest.approx(np.e, rel=1e-12)
 
     def test_zero_argument_is_exactly_one(self):
-        for alpha in (0.25, 0.5, 0.9, 1.0):
-            assert mittag_leffler(alpha, 0.0) == 1.0
+        # z = 0 never enters the contour, whose parabola pick takes log|z|
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (0.02, 0.25, 0.5, 0.9, 1.0, 1.5, 2.0):
+                assert mittag_leffler(alpha, 0.0) == 1.0
+                assert mittag_leffler(alpha, np.array([0.0, -0.5, 0.0j]))[[0, 2]].tolist() == [1, 1]
 
     def test_half_order_negative_one(self):
         got = mittag_leffler(0.5, -1.0)
@@ -328,8 +329,9 @@ class TestArrayEvaluation:
         assert np.array_equal(stable_density(alpha, t), [stable_density(alpha, ti) for ti in t])
 
     def test_mittag_leffler_series_pointwise(self):
-        # each point of the Taylor series stops on its own; summed on until
-        # the slowest point converged, one call was up to 7.9e-13 off
+        # the contour picks each point's parabola and sums its own row; a
+        # Taylor series once summed on until the slowest point converged,
+        # and one call was then up to 7.9e-13 off
         rng = np.random.default_rng(5)
         z = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
         assert np.array_equal(mittag_leffler(0.5, z), [mittag_leffler(0.5, zi) for zi in z])
@@ -370,19 +372,49 @@ def _ml_oracle(alpha, z, digits=32):
             n += 1
 
 
-def _asymptotic_radius(alpha):
-    return min(_asymptotic_attempt_radius(alpha, _RTOL), _ASYMPTOTIC_RADIUS)
+def _ml_asymptotic_oracle(alpha, z, digits=40):
+    """E_alpha(z) from its asymptotic series in mpmath, for large |z|.
+
+    E_alpha(z) = e^(z^(1/alpha)) / alpha [on the sheet |arg z| < alpha pi]
+    - sum_n z^(-n) / Gamma(1 - alpha n), summed at ``digits`` + 10 digits
+    until three terms in a row fall below 10^-(digits + 5) of the sum.
+    1/Gamma(1 - alpha n) vanishes at its poles, so one tiny term does not
+    end the sum.  The series diverges past the least term, about
+    e^(-|z|^(1/alpha)), so it serves only |z|^(1/alpha) well above
+    ``digits`` ln 10; a sum that has not settled in 2000 terms fails.
+    """
+    with mp.workdps(digits + 10):
+        a, w = mp.mpf(alpha), mp.mpc(complex(z))
+        total = mp.exp(w ** (1 / a)) / a if abs(mp.arg(w)) < a * mp.pi else mp.mpc(0)
+        tol = mp.mpf(10) ** -(digits + 5)
+        inv, power, small = 1 / w, mp.mpc(1), 0
+        for n in range(1, 2001):
+            power *= inv
+            term = -power * mp.rgamma(1 - a * n)
+            total += term
+            small = small + 1 if abs(term) < tol * abs(total) else 0
+            if small == 3:
+                return complex(total)
+        raise AssertionError(f"asymptotic oracle did not settle at alpha={alpha}, z={z}")
+
+
+def _band_radius(alpha):
+    """min(10, 32.24^alpha), the radius where a removed asymptotic series once began."""
+    return min(10.0, 32.24**alpha)
 
 
 def _ml_boundary_points(alpha, boundary):
-    """Points just inside and just outside one switch of the evaluation route.
+    """Points just inside and just outside a former switch of the evaluation route.
 
-    ``first_ray`` and ``second_ray`` are no route switch now: they put the
-    pole just outside and just inside 0.1 rad of theta_p = arg(z)/alpha =
-    0.75 pi, where a former two-ray contour changed rays and missed 1e-10.
+    None of them is a switch now; the contour serves every point.
+    ``series`` and ``asymptotic`` are the radius bands |z| = 1 -+ 0.1 % and
+    |z| = min(10, 32.24^alpha) -+ 0.1 %, where removed Taylor and asymptotic
+    series once began.  ``first_ray`` and ``second_ray`` put the pole just
+    outside and just inside 0.1 rad of theta_p = arg(z)/alpha = 0.75 pi,
+    where a former two-ray contour changed rays and missed 1e-10.
     """
     if boundary in ("series", "asymptotic"):
-        edge = 1.0 if boundary == "series" else _asymptotic_radius(alpha)
+        edge = 1.0 if boundary == "series" else _band_radius(alpha)
         radii = edge * np.array([1.0 - 1e-3, 1.0 + 1e-3])
         return (radii[:, None] * np.exp(1j * np.pi * np.array([0.3, 0.6, 0.95]))).ravel()
     offset = 0.1 + (1e-3 if boundary == "first_ray" else -1e-3)
@@ -395,8 +427,7 @@ def _residue_switch_points(alpha):
 
     Re s* = -60 keeps the pole's error term far below the rest at every mu,
     so the pick is the pole-free optimum; a pole whose residue matters is
-    never let this close to the contour.  These |z| lie past the asymptotic
-    radius, so the tests call the contour directly.
+    never let this close to the contour.
     """
     grid_mu, _, base_error = _ml_grid()
     mu = grid_mu[np.argmin(base_error)]
@@ -409,100 +440,132 @@ def _residue_switch_points(alpha):
 def _sheet_edge_points(alpha):
     """Points at |arg z| = alpha pi -+ 1e-3, where the pole leaves the principal sheet."""
     theta = alpha * np.pi + np.array([-1e-3, 1e-3])
-    radii = np.array([1.2, 0.5 * (1.0 + _asymptotic_radius(alpha))])
+    radii = np.array([1.2, 0.5 * (1.0 + _band_radius(alpha))])
     z = (radii[:, None] * np.exp(1j * theta)).ravel()
     return np.concatenate((z, np.conj(z)))
 
 
-def _layout_arguments():
+def _layout_arguments(t=0.05):
     """-lambda t^alpha of the N = 15, alpha = 0.75 benchmark layout at
-    t = 0.05, one per conjugate pair."""
-    alpha, t = 0.75, 0.05
+    time t, one per conjugate pair."""
+    alpha = 0.75
     medium = section5_medium(alpha)
     layout = _EnergyLayout(medium, QuadratureSpec())
     lam, _ = _mode_weights_batch(layout.flat_nodes, medium, 15, "exact")
     return np.unique(-lam[lam.imag >= 0] * t**alpha)
 
 
-def _ml_relative_error(alpha, z, evaluate=mittag_leffler):
-    ref = np.array([_ml_oracle(alpha, zi) for zi in z])
-    return np.max(np.abs(evaluate(alpha, z) - ref) / np.abs(ref))
+def _ml_relative_error(alpha, z, oracle=_ml_oracle):
+    ref = np.array([oracle(alpha, zi) for zi in z])
+    return np.max(np.abs(mittag_leffler(alpha, z) - ref) / np.abs(ref))
 
 
 class TestMittagLefflerOracle:
-    """``mittag_leffler`` against a 32-digit Taylor sum, bound 1e-10 relative
-    (1e-12 on the points of the parabolic contour's own switches)."""
+    """``mittag_leffler``, the parabolic contour alone, against a 32-digit
+    Taylor sum and, for large |z|, a 40-digit asymptotic sum.  Bound 1e-14
+    relative; 2e-14 at |z| = 10, where the measured worst is 5.3e-15, and
+    5e-14 over the middle band of the layout (1.1e-14, an absolute 5.5e-16
+    on |E| = 0.05).  The removed series reached 5.5e-13 on these points."""
 
     @pytest.mark.parametrize("alpha, boundary", [
         (alpha, boundary) for alpha in (0.5, 0.75, 0.9, 0.99)
         for boundary in ("series", "asymptotic", "first_ray", "second_ray")])
     def test_each_side_of_route_switch(self, alpha, boundary):
-        assert _ml_relative_error(alpha, _ml_boundary_points(alpha, boundary)) <= 1e-10
+        assert _ml_relative_error(alpha, _ml_boundary_points(alpha, boundary)) <= 2e-14
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.9, 0.99])
     def test_each_side_of_residue_switch(self, alpha):
-        z = _residue_switch_points(alpha)
-        assert _ml_relative_error(alpha, z, _ml_parabola) <= 1e-12
+        assert _ml_relative_error(alpha, _residue_switch_points(alpha)) <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 0.9, 0.99])
     def test_each_side_of_sheet_edge(self, alpha):
-        assert _ml_relative_error(alpha, _sheet_edge_points(alpha)) <= 1e-12
+        assert _ml_relative_error(alpha, _sheet_edge_points(alpha)) <= 1e-14
 
     @pytest.mark.parametrize("alpha, radius", [(0.3, 1.2), (0.5, 1.6)])
     def test_lower_band_edge(self, alpha, radius):
         # theta_p = 0.7175 pi, the lower edge of the band where the former
         # two-ray contour missed by 3e-10
         z = radius * np.exp(1j * alpha * 0.7175 * np.pi * np.array([1.0, -1.0]))
-        assert _ml_relative_error(alpha, z) <= 1e-12
+        assert _ml_relative_error(alpha, z) <= 1e-14
 
     def test_transport_layout_arguments(self):
-        # the smallest, median and largest |z| of each route, the contour's
-        # split by whether the pole is on the principal sheet.  The
-        # asymptotic route is taken up to |z| = 170: the layout reaches
-        # |z| = 1810, where the oracle's Taylor sum would carry ~11 000
-        # digits of cancellation
+        # the smallest, median and largest |z| of each radius band, the
+        # middle band split by whether the pole is on the principal sheet;
+        # past |z| = 170 the Taylor oracle would carry thousands of digits
+        # of cancellation, and test_layout_arguments_far_out takes over
         alpha = 0.75
         z = _layout_arguments()
         r = np.abs(z)
-        contour = (r > 1) & (r < _asymptotic_radius(alpha))
+        middle = (r > 1) & (r < _band_radius(alpha))
         on_sheet = np.abs(np.angle(z)) < alpha * np.pi
-        routes = {"series": r <= 1, "asymptotic": (r >= _asymptotic_radius(alpha)) & (r <= 170),
-                  "contour_on_sheet": contour & on_sheet,
-                  "contour_off_sheet": contour & ~on_sheet}
+        bands = {"disc": r <= 1, "outer": (r >= _band_radius(alpha)) & (r <= 170),
+                 "middle_on_sheet": middle & on_sheet,
+                 "middle_off_sheet": middle & ~on_sheet}
         picks = []
-        for route, mask in routes.items():
+        for band, mask in bands.items():
             ordered = z[mask][np.argsort(r[mask])]
-            assert ordered.size > 0, route
+            assert ordered.size > 0, band
             picks.extend(ordered[[0, ordered.size // 2, -1]])
-        assert _ml_relative_error(alpha, np.array(picks)) <= 1e-10
+        assert _ml_relative_error(alpha, np.array(picks)) <= 1e-14
 
     def test_contour_on_layout_arguments(self):
-        # every 10th argument the contour serves, bound 5e-14; over all
-        # 10 629 contour arguments of one benchmark solve (t = 0.048, 0.10
-        # and 0.21) the measured worst is 1.1e-14
+        # every 10th argument with 1 < |z| < 10 of one benchmark time
         z = _layout_arguments()
         r = np.abs(z)
-        assert _ml_relative_error(0.75, z[(r > 1) & (r < _asymptotic_radius(0.75))][::10]) <= 5e-14
+        assert _ml_relative_error(0.75, z[(r > 1) & (r < _band_radius(0.75))][::10]) <= 5e-14
 
     def test_first_ray_near_band_edge(self):
         # a point of the benchmark layout at t = 0.1, 0.106 rad in theta_p
         # from 0.75 pi, where the former two-ray contour missed by 2.0e-10
-        assert _ml_relative_error(0.75, np.array([-0.4397 - 1.5522j])) <= 1e-10
+        assert _ml_relative_error(0.75, np.array([-0.4397 - 1.5522j])) <= 1e-14
+
+    @pytest.mark.parametrize("t", [0.05, 0.2])
+    def test_layout_arguments_far_out(self, t):
+        # every 4th layout argument with |z| >= 50 and the largest, up to
+        # |z| = 1810 (t = 0.05) and 5119 (t = 0.2); measured worst over all
+        # of them 6.2e-16, and 8.8e-14 with the asymptotic series that
+        # served them until the contour took every argument
+        z = _layout_arguments(t)
+        far = z[np.abs(z) >= 50.0]
+        far = np.append(far[::4], far[np.argmax(np.abs(far))])
+        assert _ml_relative_error(0.75, far, _ml_asymptotic_oracle) <= 5e-15
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.05])
+    def test_small_order_off_sheet(self, alpha):
+        # 24 points with 1.5 <= |z| <= 1e4 and alpha pi < |arg z| <= pi;
+        # measured 3.0e-16, and up to 7.2e-14 with the asymptotic series
+        theta = np.random.default_rng(2).permutation(np.linspace(alpha * np.pi + 1e-3, np.pi, 24))
+        z = np.geomspace(1.5, 1e4, 24) * np.exp(1j * theta)
+        z = np.where(np.arange(24) % 2, z, np.conj(z))
+        assert _ml_relative_error(alpha, z, _ml_asymptotic_oracle) <= 5e-15
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.05])
+    def test_small_order_near_disc(self, alpha):
+        # |z| <= 40^alpha, so the Taylor oracle carries <= 18 digits of
+        # cancellation; measured 2.6e-16.  The removed Taylor series ran
+        # out of terms at alpha = 0.02 and was 4.9e-12 off at 0.05
+        radius = 40.0**alpha * np.sqrt(np.linspace(0.05, 1.0, 8))
+        z = radius * np.exp(1j * np.pi * np.linspace(0.0, 1.0, 8))
+        assert _ml_relative_error(alpha, z) <= 5e-15
 
 
 @st.composite
 def _ml_region_points(draw):
-    """(alpha, z) drawn from each evaluation route of ``mittag_leffler``."""
+    """(alpha, z) drawn from radius bands of ``mittag_leffler``'s arguments.
+
+    The bands are the unit disc, 1 < |z| < 10 (also at the sheet edge
+    |arg z| = alpha pi) and 10 <= |z| <= 5200, past the largest argument of
+    the benchmark layouts.
+    """
     alpha = draw(st.floats(0.3, 1.0))
-    r_a = _asymptotic_radius(alpha)
-    route = draw(st.sampled_from(["series", "contour", "sheet_edge", "asymptotic"]))
-    if route == "series":
+    band = draw(st.sampled_from(["disc", "middle", "sheet_edge", "outer"]))
+    if band == "disc":
         r = draw(st.floats(0.0, 1.0))
-    elif route == "asymptotic":
-        r = draw(st.floats(r_a, 60.0))
+    elif band == "outer":
+        r = draw(st.floats(10.0, 5200.0))
     else:
-        r = draw(st.floats(1.0, r_a, exclude_min=True, exclude_max=True))
-    if route == "sheet_edge":
+        r = draw(st.floats(1.0, 10.0, exclude_min=True, exclude_max=True))
+    if band == "sheet_edge":
         theta = min(np.pi, alpha * np.pi + draw(st.floats(-0.01, 0.01)))
     else:
         theta = draw(st.floats(0.0, np.pi))
@@ -513,7 +576,7 @@ class TestMittagLefflerConjugateSymmetry:
     @given(point=_ml_region_points())
     def test_conjugate_argument(self, point):
         # _modal_density evaluates one mode of each conjugate pair and
-        # relies on E(conj z) = conj E(z); every route holds it bit for bit
+        # relies on E(conj z) = conj E(z); the contour holds it bit for bit
         alpha, z = point
         value = mittag_leffler(alpha, z)
         assume(np.isfinite(value))

@@ -118,3 +118,20 @@ class TestSubordination:
         num = np.trapezoid(np.abs(sub - direct), xs)
         den = np.trapezoid(np.abs(direct), xs)
         assert num / den < 1e-3
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "build_kernel's default grid (603 nodes) is too coarse below alpha ~ 0.45: "
+        "5.4e-3 off at alpha = 0.3, 3.6e-11 with n_nodes=4000"))
+    def test_low_order_matches_direct(self):
+        # criterion 7's comparison at alpha = 0.3: the subordinated density
+        # against the direct solve with the same mollifier, bound 1e-3
+        from fracrte.spectral import section5_medium
+        from fracrte.transport import QuadratureSpec, energy_density
+
+        xs = np.linspace(-2.0, 2.0, 41)
+        medium = section5_medium(0.3)
+        spec = QuadratureSpec(k_max=350.0, tail_mode="none")
+        direct = energy_density(xs, [0.05], medium, 1, mode="exact", spec=spec,
+                                mollifier_width=6.0 / 350.0).values[0]
+        sub = subordinated_energy_density(xs, [0.05], medium, 1).values[0]
+        assert np.sum(np.abs(sub - direct)) / np.sum(np.abs(direct)) < 1e-3

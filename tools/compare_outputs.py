@@ -15,8 +15,9 @@ CLI process to one CPU.
 Per workload and seed it prints ``identical`` when both sides wrote the same
 CSV files byte for byte, the same exit status and the same standard output
 (output paths aside); otherwise the largest move of U as a share of the
-parent's max|U| in that file, with the file and position.  The exit status
-is 1 when anything differs.
+parent's max|U| in that file, with the file and position.  When that move
+is at x = 0, the largest move at x != 0 follows it, with its own file and
+position.  The exit status is 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ def compare_dirs(parent_dir, change_dir):
         only = sorted(set(names[parent_dir]) ^ set(names[change_dir]))
         return "different files: " + ", ".join(only)
     worst, where, differ = 0.0, None, False
+    off_worst, off_where = 0.0, None  # the largest move at x != 0
     for name in names[parent_dir]:
         paths = [os.path.join(d, name) for d in (parent_dir, change_dir)]
         with open(paths[0], "rb") as a, open(paths[1], "rb") as b:
@@ -68,12 +70,18 @@ def compare_dirs(parent_dir, change_dir):
         u_p = [float(r["U"]) for r in rows_p]
         u_c = [float(r["U"]) for r in rows_c]
         scale = max(abs(u) for u in u_p) or 1.0
-        move, i = max((abs(a - b) / scale, i) for i, (a, b) in enumerate(zip(u_p, u_c)))
-        if where is None or move > worst:
-            worst, where = move, f"{name}, x={rows_p[i]['x']}"
+        for row, a, b in zip(rows_p, u_p, u_c):
+            move, x = abs(a - b) / scale, row["x"]
+            if where is None or move > worst:
+                worst, where, at_origin = move, f"{name}, x={x}", float(x) == 0.0
+            if float(x) != 0.0 and (off_where is None or move > off_worst):
+                off_worst, off_where = move, f"{name}, x={x}"
     if not differ:
         return "identical"
-    return f"largest move {worst:.2g} of max|U| ({where})"
+    verdict = f"largest move {worst:.2g} of max|U| ({where})"
+    if at_origin and off_where is not None:
+        verdict += f"; off x = 0 {off_worst:.2g} ({off_where})"
+    return verdict
 
 
 def run_cli(checkout, argv, out_dir, one_cpu):
