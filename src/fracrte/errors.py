@@ -16,20 +16,7 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """A series or iteration failed to reach the requested tolerance.
-
-    Attributes
-    ----------
-    region : str
-        Which evaluation region failed (e.g. ``"series"``, ``"asymptotic"``).
-    detail : dict
-        Free-form diagnostics (argument, term counts, achieved error).
-    """
-
-    def __init__(self, message, region="", detail=None):
-        super().__init__(message)
-        self.region = region
-        self.detail = detail or {}
+    """A series or iteration failed to reach the requested tolerance."""
 
 
 class InvalidPhaseFunctionError(ValueError):
@@ -65,19 +52,10 @@ class ResolventError(NumericalError):
 class QuadratureError(NumericalError):
     """Oscillatory quadrature gave a non-finite value or could not displace
     a defective wavenumber, or an operational-time kernel node left the
-    floating-point range.
+    floating-point range.  ``detail`` holds the offending points."""
 
-    Attributes
-    ----------
-    panels : int
-        Number of panels integrated before the failure was declared.
-    detail : dict
-        Panel-level diagnostics.
-    """
-
-    def __init__(self, message, panels=0, detail=None):
+    def __init__(self, message, detail=None):
         super().__init__(message)
-        self.panels = panels
         self.detail = detail or {}
 
 

@@ -16,14 +16,14 @@ All functions are pure and accept scalars or numpy arrays in the main
 argument; they are safe to call concurrently.  Every step runs on arrays
 and each series stops point by point, so a point's value does not depend
 on the other points of the call.
-``scipy.special`` is imported inside the M-Wright series, the one place
-that needs Gamma values, not with the module, so importing the package
-does not load it.
+The only Gamma values needed, the 1/Gamma factors of the M-Wright
+series, come from ``math.gamma``, so the module needs numpy alone.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -61,6 +61,25 @@ def _ml_grid():
     return mu, h, error
 
 
+def _ml_pick(alpha, z, pole, on_sheet):
+    """Each point's mu-grid index, the least a-priori error of :func:`_ml_parabola`.
+
+    The pole's term can move the pick off argmin(base) only on the principal
+    sheet and within e^-40 of the least base term, so only there is it formed.
+    """
+    grid_mu, grid_h, base_error = _ml_grid()
+    pick = np.full(z.shape, np.argmin(base_error))
+    log_r = np.log(np.abs(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pole_log = pole.real - np.log(alpha)
+        near = np.flatnonzero(on_sheet & ~(pole_log < base_error.min() - log_r - 40.0))
+        gap = np.abs(1.0 - np.sqrt(pole[near]).real[:, None] / np.sqrt(grid_mu))
+        err = np.logaddexp(base_error - log_r[near, None],
+                           pole_log[near, None] - 2.0 * np.pi * gap / grid_h)
+    pick[near] = np.argmin(err, axis=1)
+    return pick
+
+
 def _ml_parabola(alpha, z):
     """E_alpha(z) by the trapezoid rule on a parabolic contour, over an array z.
 
@@ -76,18 +95,12 @@ def _ml_parabola(alpha, z):
     The terms at +-u are added in pairs, so E(conj z) = conj E(z) bit for
     bit, and each point sums its own row, independent of the other points.
     """
-    grid_mu, grid_h, base_error = _ml_grid()
+    grid_mu, grid_h, _ = _ml_grid()
     on_sheet = np.abs(np.angle(z)) < alpha * np.pi
     with np.errstate(over="ignore", invalid="ignore"):
         pole = z ** (1.0 / alpha)
         root = np.sqrt(pole).real
-        pick = np.full(z.shape, np.argmin(base_error))
-        if np.any(on_sheet):
-            gap = np.abs(1.0 - root[on_sheet, None] / np.sqrt(grid_mu))
-            err = np.logaddexp(
-                base_error - np.log(np.abs(z[on_sheet, None])),
-                (pole.real[on_sheet] - np.log(alpha))[:, None] - 2.0 * np.pi * gap / grid_h)
-            pick[on_sheet] = np.argmin(err, axis=1)
+    pick = _ml_pick(alpha, z, pole, on_sheet)
     out = np.empty(z.shape, dtype=complex)
     for j in np.unique(pick):
         mu, h = grid_mu[j], grid_h[j]
@@ -106,7 +119,10 @@ def _ml_parabola(alpha, z):
 
 
 def _ml_eval(alpha, z):
-    """E_alpha over a flat complex array: exactly 1 at z = 0, the contour elsewhere."""
+    """E_alpha over a flat complex array: e^z at order 1, else 1 at z = 0 and the contour."""
+    if alpha == 1.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(z)
     out = np.ones(z.shape, dtype=complex)
     nonzero = z != 0
     out[nonzero] = _ml_parabola(alpha, z[nonzero])
@@ -141,9 +157,9 @@ def mittag_leffler(alpha, z):
     oracles the relative error is within 6.2e-16 on the unit disc, at
     50 <= |z| <= 5119 on the transport layouts and at orders 0.02 and
     0.05, and within 1.1e-14 for 1 < |z| <= 10, where |E| can be small
-    (an absolute 5.5e-16 at |E| = 0.05).  At alpha = 1, where E = e^z
-    decays exponentially to the left, the error is absolute, up to about
-    6e-18 for Re z <= -30.  E(conj z) = conj E(z) bit for bit.
+    (an absolute 5.5e-16 at |E| = 0.05).  At alpha = 1 (and 2, by halving)
+    E = e^z is ``np.exp``, relative to round-off as it decays and 0 where
+    it underflows.  E(conj z) = conj E(z) bit for bit.
     """
     if not np.isfinite(alpha) or not (0.0 < alpha <= 2.0):
         raise DomainError(f"order alpha must be in (0, 2], got {alpha}")
@@ -171,6 +187,14 @@ _RTOL = 1e-11
 _MAX_TERMS = 500
 
 
+def _rgamma(x):
+    """1/Gamma(x) for a float x < 171: 0 at the poles, +-inf where Gamma underflows."""
+    if x <= 0.0 and x == int(x):
+        return 0.0
+    g = math.gamma(x)
+    return 1.0 / g if g else math.copysign(math.inf, g)
+
+
 def _neumaier_sum_inplace(total, comp, term):
     """One compensated-summation step; returns updated (total, comp)."""
     t = total + term
@@ -194,14 +218,12 @@ def _m_wright_series(nu, x, rtol, max_terms):
     own rule and leaves the active set; the per-point operation order does
     not depend on the other points.
     """
-    from scipy.special import rgamma
-
     eps_ld = float(np.finfo(np.longdouble).eps)
     values = np.zeros(x.shape)
     loss = np.ones(x.shape, dtype=bool)
     idx = np.arange(x.size)
     neg_x = np.asarray(-x, dtype=np.longdouble)
-    total = np.full(x.shape, rgamma(1.0 - nu), dtype=np.longdouble)
+    total = np.full(x.shape, _rgamma(1.0 - nu), dtype=np.longdouble)
     comp = np.zeros(x.shape, dtype=np.longdouble)
     pf = np.ones(x.shape, dtype=np.longdouble)  # (-x)^n / n!
     max_mag = np.abs(total)
@@ -210,7 +232,7 @@ def _m_wright_series(nu, x, rtol, max_terms):
         if idx.size == 0:
             break
         pf = pf * neg_x / n
-        rg = rgamma(-nu * (n + 1) + 1.0)
+        rg = _rgamma(-nu * (n + 1) + 1.0)
         if not np.isfinite(rg):
             break
         term = pf * np.longdouble(rg)
@@ -246,7 +268,7 @@ def _m_wright_routed(nu, x):
     series = np.flatnonzero(x <= _MW_SERIES_XMAX)
     vals, loss = _m_wright_series(nu, x[series], _RTOL, _MAX_TERMS)
     if np.any(loss & (x[series] == 0.0)):
-        raise ConvergenceError("M-Wright series failed at x=0", region="series")
+        raise ConvergenceError("M-Wright series failed at x=0")
     values[series] = np.maximum(vals, 0.0)
     rest[series[~loss]] = False
     return values, rest

@@ -9,6 +9,7 @@ is a probability density in tau for every t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,9 +71,7 @@ class SubordinationKernel:
 
 def _relative_width(alpha):
     """Relative tau spread of the kernel, sqrt(Var)/mean from its moments."""
-    from scipy.special import gamma as _gamma
-
-    ratio = 2.0 / _gamma(1.0 + 2.0 * alpha) - 1.0 / _gamma(1.0 + alpha) ** 2
+    ratio = 2.0 / math.gamma(1.0 + 2.0 * alpha) - 1.0 / math.gamma(1.0 + alpha) ** 2
     return np.sqrt(max(ratio, 1e-8))
 
 

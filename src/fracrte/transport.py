@@ -382,7 +382,7 @@ class _PanelLayout:
         finite = np.all(np.isfinite(values), axis=0)
         if not np.all(finite):
             raise QuadratureError("half-line inversion gave a non-finite value",
-                                  panels=len(self.half), detail={"x": x[~finite]})
+                                  detail={"x": x[~finite]})
         return values
 
     def _panel_sums(self, x, coef):

@@ -1,8 +1,10 @@
 """Command-line interface: config resolution, CSV schema, determinism."""
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,18 +120,65 @@ class TestRun:
         assert out.returncode == 0
         assert "transport" in out.stdout
 
-    def test_import_skips_scipy_integrate(self, tmp_path):
-        # no route needs scipy.integrate, and importing it or scipy.special
-        # slows every CLI start; ctrw uses neither
+    def test_import_skips_scipy_integrate(self, tmp_path, tmp_path_factory):
+        # no route needs scipy.integrate or scipy.special, and importing
+        # either slows every CLI start; ctrw, transport and subordinate
+        # load neither
         probe = "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)"
         ctrw = ["ctrw", "--n-walkers", "500", "--t", "0.01", "--n-x", "5",
                 "--output-path", str(tmp_path)]
+        solved = tmp_path_factory.mktemp("solved")
+        solvers = [[name, "--t", "0.05", "--n-x", "5", "--output-path", str(solved)]
+                   for name in ("transport", "subordinate")]
         for code in ("import fracrte.cli, sys; " + probe,
-                     f"import sys; from fracrte.cli import main; main({ctrw!r}); " + probe):
+                     *(f"import sys; from fracrte.cli import main; main({argv!r}); " + probe
+                       for argv in [ctrw] + solvers)):
             out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
             assert out.returncode == 0, out.stderr
             assert out.stdout.strip().splitlines()[-1] == "False False"
         assert len(list(tmp_path.iterdir())) == 1
+        assert len(list(solved.iterdir())) == 2
+
+
+# A fresh interpreter in which every scipy module fails to import, then the CLI
+_WITHOUT_SCIPY = """
+import sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, _NoScipy())
+from fracrte.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["transport", "--t", "0.02,0.05", "--n-x", "5"],
+    ["subordinate", "--t", "0.05", "--n-x", "5"],
+    ["diffusion", "--t", "0.02,0.05", "--n-x", "5"],
+    ["diffusion", "--t", "0.05", "--n-x", "5", "--sigma-a", "1", "--alpha", "0.8"],
+])
+def test_runs_without_scipy(argv, tmp_path):
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, *argv,
+                          "--output-path", str(tmp_path)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    times = argv[argv.index("--t") + 1].split(",")
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".csv"] * len(times)
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+    for path in (root / "src" / "fracrte").glob("*.py"):
+        assert not re.search(r"^\s*(import|from)\s+scipy\b", path.read_text(), re.M), path
 
 
 @pytest.mark.slow

@@ -1,5 +1,7 @@
 """Special-function contracts: frozen oracle values and identities."""
 
+import cmath
+import math
 import warnings
 from fractions import Fraction
 
@@ -18,6 +20,8 @@ from fracrte.specfun import (
     _m_wright_routed,
     _m_wright_series,
     _ml_grid,
+    _ml_pick,
+    _rgamma,
     f_alpha_half,
     m_wright,
     mittag_leffler,
@@ -275,13 +279,44 @@ def _m_wright_oracle(nu, x, digits=30):
         return float(total)
 
 
+class TestRgamma:
+    @pytest.mark.parametrize("nu", [0.05, 0.25, 0.5, 0.75, 0.95, 0.999])
+    def test_series_arguments(self, nu):
+        # every argument x = 1 - nu (n + 1) of the M-Wright series' terms,
+        # past the point where 1/Gamma leaves the float range (x < -171 or
+        # so), against mpmath at 40 digits: 0 at the poles, non-finite
+        # exactly where |1/Gamma| exceeds DBL_MAX, where the series stops
+        big = mp.mpf(np.finfo(float).max)
+        worst, beyond = 0.0, 0
+        with mp.workdps(40):
+            for n in range(501):
+                x = -nu * (n + 1) + 1.0
+                got, ref = _rgamma(x), mp.rgamma(x)
+                if x <= 0.0 and x == int(x):
+                    assert got == 0.0 and ref == 0, x
+                elif abs(ref) > big:
+                    assert not math.isfinite(got), x
+                    beyond += 1
+                else:
+                    assert math.isfinite(got), x
+                    worst = max(worst, float(abs((got - ref) / ref)))
+        assert worst <= 2e-15
+        assert beyond > 0 or nu < 0.3
+        if nu >= 0.5:
+            # every point where math.gamma itself underflows is non-finite
+            x = -nu * np.arange(1, 502) + 1.0
+            under = [xi for xi in x if xi != int(xi) and math.gamma(xi) == 0.0]
+            assert under and not any(math.isfinite(_rgamma(xi)) for xi in under)
+
+
 class TestMWrightOracle:
     @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75, 0.9])
     def test_series_certified_accuracy(self, nu):
         # every point the series certifies; the loss rule counts the
-        # extended-precision rounding but not the float64 rgamma factor of
-        # each term, so the worst is 9.3e-11 (nu = 0.75, x = 2.875), above
-        # the 1e-11 stop rule
+        # extended-precision rounding but not the float64 _rgamma factor of
+        # each term (math.gamma, within 2e-15 relative, see TestRgamma), so
+        # the worst is 2.2e-11 (nu = 0.9, x = 1.25), above the 1e-11 stop
+        # rule
         x = np.arange(1, 97) / 8.0
         vals, loss = _m_wright_series(nu, x, _RTOL, _MAX_TERMS)
         assert not np.all(loss)
@@ -547,6 +582,74 @@ class TestMittagLefflerOracle:
         radius = 40.0**alpha * np.sqrt(np.linspace(0.05, 1.0, 8))
         z = radius * np.exp(1j * np.pi * np.linspace(0.0, 1.0, 8))
         assert _ml_relative_error(alpha, z) <= 5e-15
+
+
+def _full_model_pick(alpha, z):
+    """The parabola pick with the pole's error term formed at every
+    on-sheet point, as the contour chose before the e^-40 shortcut."""
+    grid_mu, grid_h, base_error = _ml_grid()
+    on_sheet = np.abs(np.angle(z)) < alpha * np.pi
+    with np.errstate(over="ignore", invalid="ignore"):
+        pole = z ** (1.0 / alpha)
+        gap = np.abs(1.0 - np.sqrt(pole).real[:, None] / np.sqrt(grid_mu))
+        err = np.logaddexp(base_error - np.log(np.abs(z))[:, None],
+                           (pole.real - np.log(alpha))[:, None] - 2.0 * np.pi * gap / grid_h)
+    return np.where(on_sheet, np.argmin(err, axis=1), np.argmin(base_error)), pole, on_sheet
+
+
+class TestParabolaPick:
+    def _check(self, alpha, z):
+        full, pole, on_sheet = _full_model_pick(alpha, z)
+        assert np.array_equal(_ml_pick(alpha, z, pole, on_sheet), full)
+        return full
+
+    @pytest.mark.parametrize("t", [0.05, 0.2])
+    def test_layout_arguments(self, t):
+        z = _layout_arguments(t)
+        z = np.concatenate((z, np.conj(z)))
+        full = self._check(0.75, z)
+        # the pole term does move some picks, so the shortcut is exercised
+        assert np.any(full != np.argmin(_ml_grid()[2]))
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.3, 0.5, 0.75, 0.9, 0.99])
+    def test_random_on_sheet(self, alpha):
+        rng = np.random.default_rng(int(alpha * 1000))
+        r = 10.0 ** rng.uniform(-3.0, 4.0, 10_000 // 6 + 1)
+        theta = alpha * np.pi * rng.uniform(-1.0, 1.0, r.size)
+        self._check(alpha, r * np.exp(1j * theta))
+
+
+class TestOrderOneExact:
+    """E_1(z) = e^z and E_2(z) = cosh(sqrt z) come from np.exp, relative to
+    round-off however far e^z decays; the contour's error there is
+    absolute (6 % at z = -40)."""
+
+    def test_real_axis(self):
+        x = -np.linspace(0.0, 700.0, 1401)
+        ref = np.array([math.exp(v) for v in x])
+        got = mittag_leffler(1.0, x)
+        assert np.max(np.abs(got - ref) / ref) <= 2e-16
+        assert mittag_leffler(1.0, -40.0) == math.exp(-40.0)
+
+    def test_complex_plane(self):
+        rng = np.random.default_rng(3)
+        z = rng.uniform(-700.0, 50.0, 500) + 1j * rng.uniform(-300.0, 300.0, 500)
+        ref = np.array([cmath.exp(v) for v in z])
+        assert np.max(np.abs(mittag_leffler(1.0, z) - ref) / np.abs(ref)) <= 2e-16
+        w = rng.uniform(-700.0, 700.0, 500) + 1j * rng.uniform(-300.0, 300.0, 500)
+        ref = np.array([cmath.cosh(cmath.sqrt(v)) for v in w * w])
+        assert np.max(np.abs(mittag_leffler(2.0, w * w) - ref) / np.abs(ref)) <= 1e-15
+
+    def test_zero_where_exp_underflows(self):
+        z = np.array([-746.0, -800.0, -1183.6 + 3.0j, -1e4 - 1.0j, -1e6])
+        assert np.all(mittag_leffler(1.0, z) == 0.0)
+        assert mittag_leffler(1.0, -1183.6) == 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_conjugate_bit_for_bit(self, alpha):
+        rng = np.random.default_rng(4)
+        z = rng.uniform(-700.0, 50.0, 500) + 1j * rng.uniform(-300.0, 300.0, 500)
+        assert np.array_equal(mittag_leffler(alpha, np.conj(z)), np.conj(mittag_leffler(alpha, z)))
 
 
 @st.composite
