@@ -14,6 +14,7 @@ converge on valid input).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -182,11 +183,10 @@ def parse_config(argv):
 
 
 def _write_csv(path, xs, values, method, config, t, mode):
+    suffix = f",{method},{config.alpha:.12g},{t:.12g},{config.N},{mode}\n"
+    rows = zip(np.asarray(xs).tolist(), np.asarray(values).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for x, u in zip(xs, values):
-            fh.write(f"{x:.12g},{u:.12g},{method},{config.alpha:.12g},{t:.12g},"
-                     f"{config.N},{mode}\n")
+        fh.write(CSV_HEADER + "\n" + "".join(f"{x:.12g},{u:.12g}{suffix}" for x, u in rows))
     return path
 
 
@@ -253,16 +253,23 @@ def _run_figures(config, out_dir):
 
 def _run_validate(config):
     """Fast invariant sweep; prints one pass/fail line per check."""
-    from .specfun import f_alpha_half, mittag_leffler
+    from .specfun import (_MAX_TERMS, _RTOL, _m_wright_series, _stable_zolotarev, f_alpha_half,
+                          mittag_leffler)
     from .spectral import assemble_operator, critical_wavenumber, decompose, hermitian_mode_weights
     from .subordination import build_kernel
     from .transport import (ballistic_coefficients, evolve_coefficients,
                             scattered_coefficients)
 
     checks = []
-    z = np.linspace(-8, 0, 33)
-    checks.append(("mittag_leffler order one reduces to exp",
-                   float(np.max(np.abs(mittag_leffler(1.0, z) - np.exp(z)))) < 1e-10))
+    z = np.linspace(0.0, 1.0, 9) * np.exp(1j * np.linspace(-np.pi, np.pi, 17))[:, None]
+    taylor = sum(z**n / math.gamma(0.5 * n + 1.0) for n in range(60))
+    checks.append(("half-order contour matches Taylor series on unit disc",
+                   float(np.max(np.abs(mittag_leffler(0.5, z) - taylor))) < 1e-12))
+    t = np.linspace(0.5, 2.0, 16) ** (-4.0 / 3.0)  # M_nu(x) = t^(nu+1) f_nu(t) / nu, x = t^-nu
+    series, loss = _m_wright_series(0.75, t**-0.75, _RTOL, _MAX_TERMS)
+    kernel = _stable_zolotarev(0.75, t) * t**1.75 / 0.75
+    checks.append(("M-Wright series matches Zolotarev integral",
+                   not np.any(loss) and float(np.max(np.abs(series / kernel - 1.0))) < 1e-10))
     x = np.linspace(0, 5, 26)
     checks.append(("order-two value matches cosine",
                    float(np.max(np.abs(mittag_leffler(2.0, -x**2) - np.cos(x)))) < 1e-10))

@@ -8,14 +8,15 @@ diffusion, and ``stable_density`` the one-sided stable density
 f_alpha(t) = alpha t^(-1-alpha) M_alpha(t^(-alpha)) (Mainardi, Mura &
 Pagnini, Int. J. Differ. Equ. 2010, 104505).  The two share one route
 split: the M-Wright series where it certifies its sum, and Zolotarev's
-angular integral for the points it leaves.
-``f_alpha_half`` is the closed form of the inverse-Laplace kernel of
-exp(-sqrt(s)).
+angular integral for the points it leaves.  At order 1/2 both take their
+closed forms, M_{1/2}(x) = exp(-x^2/4)/sqrt(pi) and ``f_alpha_half``, the
+inverse-Laplace kernel of exp(-sqrt(s)), and no series runs.
 
 All functions are pure and accept scalars or numpy arrays in the main
-argument; they are safe to call concurrently.  Every step runs on arrays
-and each series stops point by point, so a point's value does not depend
-on the other points of the call.
+argument; they are safe to call concurrently.  Every step runs on arrays:
+the M-Wright series in blocks of terms with fixed edges, each point
+stopping at its own first event, so a point's value does not depend on
+the other points of the call.
 The only Gamma values needed, the 1/Gamma factors of the M-Wright
 series, come from ``math.gamma``, so the module needs numpy alone.
 """
@@ -185,6 +186,7 @@ def mittag_leffler(alpha, z):
 _MW_SERIES_XMAX = 12.0
 _RTOL = 1e-11
 _MAX_TERMS = 500
+_MW_BLOCK = 16
 
 
 def _rgamma(x):
@@ -195,83 +197,73 @@ def _rgamma(x):
     return 1.0 / g if g else math.copysign(math.inf, g)
 
 
-def _neumaier_sum_inplace(total, comp, term):
-    """One compensated-summation step; returns updated (total, comp)."""
-    t = total + term
-    comp = comp + np.where(
-        np.abs(total) >= np.abs(term), (total - t) + term, (term - t) + total
-    )
-    return t, comp
+@functools.lru_cache(maxsize=32)
+def _mw_coefficients(nu, max_terms):
+    """1/Gamma(1 - nu (n + 1)), n = 0..max_terms, in long double, up to the first non-finite one."""
+    coef = np.array([_rgamma(-nu * (n + 1) + 1.0) for n in range(max_terms + 1)], np.longdouble)
+    finite = np.isfinite(coef)
+    return coef if finite.all() else coef[:np.argmin(finite)]
 
 
 def _m_wright_series(nu, x, rtol, max_terms):
     """Alternating series for M_nu in extended precision, over an array x.
 
-    Returns ``(values, loss)`` arrays; ``loss`` marks points where
-    cancellation has consumed the precision budget (or the series did not
-    stop within ``max_terms``), which the caller sends to Zolotarev's
-    integral instead.  Zolotarev's integrand A e^(-yA) is at most 1/(e y),
-    so M_nu(x) <= 1 / (e (1 - nu) x): once the budget exceeds twice that
-    bound, loss is certain, and the point leaves with value 0 at once
-    instead of summing on.  The power/factorial factor is carried as a
-    running product so no intermediate overflows.  Each point stops on its
-    own rule and leaves the active set; the per-point operation order does
-    not depend on the other points.
+    Returns ``(values, loss)`` arrays; ``loss`` marks the points the caller
+    sends to Zolotarev's integral instead: x > ``_MW_SERIES_XMAX`` (value
+    0), no settled sum within ``max_terms``, or cancellation past the
+    precision budget eps_ld n max|term|, which also bounds the round-off
+    of the running sum.  Zolotarev's integrand A e^(-yA) is at most
+    1/(e y), so M_nu(x) <= 1 / (e (1 - nu) x): once the budget exceeds
+    twice that bound, loss is certain, and the point leaves with value 0
+    at once.  The terms run in blocks of ``_MW_BLOCK`` with fixed edges
+    n = 1, 17, 33, ...: (-x)^n / n! by ``np.cumprod`` of the running
+    ratios (so nothing overflows), the partial sums by ``np.cumsum``, and
+    each point stops at its first event (two consecutive settled terms,
+    or certain loss).  Each row is its own, so a point's value does not
+    depend on the other points.
     """
     eps_ld = float(np.finfo(np.longdouble).eps)
+    coef = _mw_coefficients(nu, max_terms)
     values = np.zeros(x.shape)
     loss = np.ones(x.shape, dtype=bool)
-    idx = np.arange(x.size)
-    neg_x = np.asarray(-x, dtype=np.longdouble)
-    total = np.full(x.shape, _rgamma(1.0 - nu), dtype=np.longdouble)
-    comp = np.zeros(x.shape, dtype=np.longdouble)
-    pf = np.ones(x.shape, dtype=np.longdouble)  # (-x)^n / n!
-    max_mag = np.abs(total)
-    small = np.zeros(x.shape, dtype=int)
-    for n in range(1, max_terms + 1):
+    idx = np.flatnonzero(x <= _MW_SERIES_XMAX)
+    neg_x = np.asarray(-x[idx], dtype=np.longdouble)[:, None]
+    # each point's state after its last term: (-x)^n / n!, sum, max|term|, settled
+    pf, total = np.ones_like(neg_x), np.full_like(neg_x, coef[0])
+    max_mag, settled = np.abs(total), np.zeros(neg_x.shape, dtype=bool)
+    for first in range(1, coef.size, _MW_BLOCK):
         if idx.size == 0:
             break
-        pf = pf * neg_x / n
-        rg = _rgamma(-nu * (n + 1) + 1.0)
-        if not np.isfinite(rg):
-            break
-        term = pf * np.longdouble(rg)
-        total, comp = _neumaier_sum_inplace(total, comp, term)
-        max_mag = np.maximum(max_mag, np.abs(term))
-        settled = np.abs(term) <= rtol * np.maximum(np.abs(total + comp), 1e-300)
-        small = np.where(settled, small + 1, 0)
-        budget = max_mag * eps_ld * n / (0.5 * max(rtol, 1e-12))
+        n = np.arange(first, min(first + _MW_BLOCK, coef.size))
+        pf = np.cumprod(np.concatenate((pf, neg_x / n), axis=1), axis=1)
+        terms = pf[:, 1:] * coef[n]
+        total = np.cumsum(np.concatenate((total, terms), axis=1), axis=1)
+        max_mag = np.maximum.accumulate(np.concatenate((max_mag, np.abs(terms)), axis=1), axis=1)
+        settled = np.concatenate(
+            (settled, np.abs(terms) <= rtol * np.maximum(np.abs(total[:, 1:]), 1e-300)), axis=1)
+        budget = max_mag[:, 1:] * eps_ld * n / (0.5 * max(rtol, 1e-12))
         lost = budget * (np.e * (1.0 - nu)) * -neg_x > 2.0
-        done = (small >= 2) & ~lost
-        if np.any(done):
-            val = (total[done] + comp[done]).astype(float)
-            values[idx[done]] = val
-            loss[idx[done]] = np.abs(val) < budget[done]
-        keep = ~(done | lost)
-        if not np.all(keep):
-            idx, neg_x, total, comp, pf, max_mag, small = (
-                a[keep] for a in (idx, neg_x, total, comp, pf, max_mag, small))
-    values[idx] = (total + comp).astype(float)
+        event = (settled[:, 1:] & settled[:, :-1]) | lost
+        stop = np.flatnonzero(np.any(event, axis=1))
+        at = np.argmax(event[stop], axis=1)
+        done = ~lost[stop, at]
+        stop, at = stop[done], at[done]
+        values[idx[stop]] = total[stop, at + 1].astype(float)
+        loss[idx[stop]] = np.abs(values[idx[stop]]) < budget[stop, at]
+        keep = ~np.any(event, axis=1)
+        idx, neg_x = idx[keep], neg_x[keep]
+        pf, total, max_mag, settled = (a[keep, -1:] for a in (pf, total, max_mag, settled))
+    values[idx] = total[:, 0].astype(float)
     return values, loss
 
 
 def _m_wright_routed(nu, x):
-    """Series values of M_nu over a flat array x >= 0, and the points it leaves.
-
-    Returns ``(values, rest)``: ``values`` holds the series sum (clipped at
-    0) wherever the series certifies it, and ``rest`` marks the points for
-    Zolotarev's integral, those with x > ``_MW_SERIES_XMAX`` or precision
-    loss.
-    """
-    values = np.zeros(x.shape)
-    rest = np.ones(x.shape, dtype=bool)
-    series = np.flatnonzero(x <= _MW_SERIES_XMAX)
-    vals, loss = _m_wright_series(nu, x[series], _RTOL, _MAX_TERMS)
-    if np.any(loss & (x[series] == 0.0)):
+    """Series values of M_nu over a flat array x >= 0, clipped at 0, and
+    ``rest``, the points :func:`_m_wright_series` leaves to Zolotarev's integral."""
+    values, rest = _m_wright_series(nu, x, _RTOL, _MAX_TERMS)
+    if np.any(rest & (x == 0.0)):
         raise ConvergenceError("M-Wright series failed at x=0")
-    values[series] = np.maximum(vals, 0.0)
-    rest[series[~loss]] = False
-    return values, rest
+    return np.maximum(values, 0.0), rest
 
 
 # Zolotarev rule: on each side of the peak, panels graded by halves toward
@@ -373,13 +365,14 @@ def stable_density(alpha, t):
 def m_wright(nu, x):
     """M-Wright function M_nu(x) for nu in (0,1) and x >= 0.
 
-    The defining alternating series serves x <= 12 while it retains
-    significant digits (see :func:`_m_wright_series`).  Every other point
-    (larger x, or orders nu > 1/2 where cancellation bites early) takes
-    the kernel identity M_nu(x) = t^(nu+1) f_nu(t) / nu at t = x^(-1/nu),
-    with f_nu from Zolotarev's integral, all in one call; at nu = 1/2 it
-    takes the identity's closed form exp(-x^2/4)/sqrt(pi).  Far in the
-    stretched-exponential tail the value underflows to 0.
+    At nu = 1/2 every point takes the closed form exp(-x^2/4)/sqrt(pi) and
+    no series runs.  Otherwise the defining alternating series serves
+    x <= 12 while it retains significant digits (see
+    :func:`_m_wright_series`), and every other point (larger x, or orders
+    nu > 1/2 where cancellation bites early) takes the kernel identity
+    M_nu(x) = t^(nu+1) f_nu(t) / nu at t = x^(-1/nu), with f_nu from
+    Zolotarev's integral, all in one call.  Far in the stretched-exponential
+    tail the value underflows to 0.
     """
     if not (0.0 < nu < 1.0):
         raise DomainError(f"order nu must be in (0, 1), got {nu}")
@@ -388,11 +381,11 @@ def m_wright(nu, x):
     x_flat = np.atleast_1d(x_arr).ravel()
     if np.any(x_flat < 0) or not np.all(np.isfinite(x_flat)):
         raise DomainError("argument x must be finite and >= 0")
-    out, rest = _m_wright_routed(nu, x_flat)
     if nu == 0.5:
         with np.errstate(over="ignore"):
-            out[rest] = np.exp(-0.25 * x_flat[rest] ** 2) / np.sqrt(np.pi)
+            out = np.exp(-0.25 * x_flat**2) / np.sqrt(np.pi)
     else:
+        out, rest = _m_wright_routed(nu, x_flat)
         t = x_flat[rest] ** (-1.0 / nu)
         out[rest] = _stable_zolotarev(nu, t) * t ** (nu + 1.0) / nu
     out = out.reshape(x_arr.shape) if not scalar else out[0]

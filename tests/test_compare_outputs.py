@@ -59,3 +59,26 @@ def test_other_columns_differ(tmp_path):
     a = _dir(tmp_path / "a", {"a.csv": _csv(ROWS)})
     b = _dir(tmp_path / "b", {"a.csv": _csv([(-1, 0.25), (0.5, 2.0), (1, 0.25)])})
     assert compare_outputs.compare_dirs(a, b) == "a.csv: columns other than U differ"
+
+
+def test_tolerance_bounds_the_exit_status(tmp_path, monkeypatch):
+    # each run writes the fixture directory of its checkout; a move of
+    # 0.125 of max|U| passes a bound of 0.125 and fails 0.1 and the default
+    outputs = {"parent": {"a.csv": _csv(ROWS)},
+               "change": {"a.csv": _csv([(-1, 0.25), (0, 2.0), (1, 0.5)])},
+               "columns": {"a.csv": _csv([(-1, 0.25), (0.5, 2.0), (1, 0.25)])}}
+
+    def fake_run(checkout, argv, out_dir, one_cpu):
+        _dir(Path(out_dir), outputs[Path(checkout).name])
+        return 0, ""
+
+    monkeypatch.setattr(compare_outputs, "run_cli", fake_run)
+    base = ["--workload", "ctrw", "--seeds", "1"]
+    pair = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    assert compare_outputs.main(pair + base + ["--tolerance", "0.125"]) == 0
+    assert compare_outputs.main(pair + base + ["--tolerance", "0.1"]) == 1
+    assert compare_outputs.main(pair + base) == 1
+    same = [str(tmp_path / "parent"), str(tmp_path / "parent")]
+    assert compare_outputs.main(same + base) == 0
+    other = [str(tmp_path / "parent"), str(tmp_path / "columns")]
+    assert compare_outputs.main(other + base + ["--tolerance", "1.0"]) == 1

@@ -179,12 +179,19 @@ class TestFourierInversion:
 
 @pytest.mark.parametrize("n", [8, 16, 40])
 def test_spherical_bessel_table(n):
-    # the Filon table's j_0..j_(n-1) on each side of its three branch
-    # switches (w = 0.5 and w = n) and over sixteen decades
-    w = np.r_[0.0, np.geomspace(1e-12, 1e4, 4001), np.nextafter([0.5, n], 0), 0.5, n]
+    # the Filon table's j_0..j_(n-1) one ulp either side of its branch
+    # switches (w = 0.5 and w = n), on them, and over sixteen decades
+    edges = np.array([0.5, n], dtype=float)
+    w = np.r_[0.0, np.geomspace(1e-12, 1e4, 4001), np.nextafter(edges, 0), edges,
+              np.nextafter(edges, np.inf)]
     ref = np.stack([spherical_jn(j, w) for j in range(n)], axis=-1)
-    assert np.max(np.abs(_spherical_jn(n, w) - ref)) <= 2e-15
-    assert np.array_equal(_spherical_jn(n, -w), _spherical_jn(n, w))  # it takes |w|
+    table = _spherical_jn(n, w)
+    assert np.max(np.abs(table - ref)) <= 2e-15
+    assert np.array_equal(_spherical_jn(n, -w), table)  # it takes |w|
+    # every step is elementwise: a slice's table is the slice of the table
+    for part in (slice(0, 1), slice(1, 2000), slice(2000, None), slice(None, None, 7)):
+        assert np.array_equal(_spherical_jn(n, w[part]), table[part])
+    assert np.array_equal(_spherical_jn(n, w.reshape(-1, 2))[:, 1], table[1::2])
 
 
 class TestEnergyDensity:

@@ -4,7 +4,7 @@ Usage (from anywhere; standard library only):
 
     python3 tools/compare_outputs.py PARENT CHANGE --seeds 1,7,23,94 \
         [--workload transport_pn ...] [--command "diffusion --alpha 0.5" ...] \
-        [--one-cpu]
+        [--one-cpu] [--tolerance BOUND]
 
 Each benchmark workload (all of them unless ``--workload`` names some) runs
 its CLI argv, as ``workload_argv`` in ``perfbench/run.py`` builds it for a
@@ -17,7 +17,10 @@ CSV files byte for byte, the same exit status and the same standard output
 (output paths aside); otherwise the largest move of U as a share of the
 parent's max|U| in that file, with the file and position.  When that move
 is at x = 0, the largest move at x != 0 follows it, with its own file and
-position.  The exit status is 1 when anything differs.
+position.  The exit status is 1 when anything differs; with
+``--tolerance BOUND``, only when some run differs otherwise than by moves
+of U of at most BOUND of max|U| (the same files, exit status, standard
+output and other columns).
 """
 
 from __future__ import annotations
@@ -49,11 +52,17 @@ def _read_csv(path):
 
 def compare_dirs(parent_dir, change_dir):
     """``identical``, or how the CSV files of two output directories differ."""
+    return _compare_dirs(parent_dir, change_dir)[0]
+
+
+def _compare_dirs(parent_dir, change_dir):
+    """The verdict of :func:`compare_dirs` and the largest move of U as a share
+    of max|U|: 0.0 when identical, None when more than U differs."""
     names = {d: sorted(f for f in os.listdir(d) if f.endswith(".csv"))
              for d in (parent_dir, change_dir)}
     if names[parent_dir] != names[change_dir]:
         only = sorted(set(names[parent_dir]) ^ set(names[change_dir]))
-        return "different files: " + ", ".join(only)
+        return "different files: " + ", ".join(only), None
     worst, where, differ = 0.0, None, False
     off_worst, off_where = 0.0, None  # the largest move at x != 0
     for name in names[parent_dir]:
@@ -66,7 +75,7 @@ def compare_dirs(parent_dir, change_dir):
         strip = [[{k: v for k, v in r.items() if k != "U"} for r in rows]
                  for rows in (rows_p, rows_c)]
         if strip[0] != strip[1]:
-            return f"{name}: columns other than U differ"
+            return f"{name}: columns other than U differ", None
         u_p = [float(r["U"]) for r in rows_p]
         u_c = [float(r["U"]) for r in rows_c]
         scale = max(abs(u) for u in u_p) or 1.0
@@ -77,11 +86,11 @@ def compare_dirs(parent_dir, change_dir):
             if float(x) != 0.0 and (off_where is None or move > off_worst):
                 off_worst, off_where = move, f"{name}, x={x}"
     if not differ:
-        return "identical"
+        return "identical", 0.0
     verdict = f"largest move {worst:.2g} of max|U| ({where})"
     if at_origin and off_where is not None:
         verdict += f"; off x = 0 {off_worst:.2g} ({off_where})"
-    return verdict
+    return verdict, worst
 
 
 def run_cli(checkout, argv, out_dir, one_cpu):
@@ -103,18 +112,18 @@ def run_cli(checkout, argv, out_dir, one_cpu):
 
 
 def compare_run(parent, change, argv, one_cpu=False):
-    """Run ``argv`` in both checkouts and compare what they wrote."""
+    """Run ``argv`` in both checkouts; the verdict and largest move of :func:`_compare_dirs`."""
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [os.path.join(tmp, side) for side in ("parent", "change")]
         status_p, out_p = run_cli(parent, argv, dirs[0], one_cpu)
         status_c, out_c = run_cli(change, argv, dirs[1], one_cpu)
         if status_p != status_c:
-            return f"exit status {status_p} -> {status_c}"
+            return f"exit status {status_p} -> {status_c}", None
         if out_p != out_c:
-            return "standard output differs"
+            return "standard output differs", None
         if not all(os.path.isdir(d) for d in dirs):
-            return "identical"
-        return compare_dirs(*dirs)
+            return "identical", 0.0
+        return _compare_dirs(*dirs)
 
 
 def main(argv=None):
@@ -128,6 +137,9 @@ def main(argv=None):
     parser.add_argument("--command", action="append", default=[],
                         help="further CLI argv, run once, repeatable")
     parser.add_argument("--one-cpu", action="store_true", help="pin the CLI to one CPU")
+    parser.add_argument("--tolerance", type=float, metavar="BOUND",
+                        help="largest move of U accepted, as a share of max|U| "
+                             "(default: identical bytes)")
     args = parser.parse_args(argv)
 
     parent, change = (os.path.abspath(p) for p in (args.parent, args.change))
@@ -137,8 +149,11 @@ def main(argv=None):
     runs += [(command, shlex.split(command)) for command in args.command]
     differ = False
     for label, cli_argv in runs:
-        verdict = compare_run(parent, change, cli_argv, args.one_cpu)
-        differ |= verdict != "identical"
+        verdict, move = compare_run(parent, change, cli_argv, args.one_cpu)
+        if args.tolerance is None:
+            differ |= verdict != "identical"
+        else:
+            differ |= move is None or move > args.tolerance
         print(f"{label}: {verdict}", flush=True)
     return 1 if differ else 0
 
