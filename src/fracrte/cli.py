@@ -7,8 +7,8 @@ flags, optionally layered over a flat key=value file.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (including
 invalid physical inputs rejected by the library), 3 I/O error, 4 numerical
-failure (a series, eigensolver, resolvent or quadrature that did not
-converge on valid input).
+failure (an eigensolver, resolvent or quadrature that did not converge on
+valid input).
 """
 
 from __future__ import annotations
@@ -273,8 +273,10 @@ def _run_validate(config):
     x = np.linspace(0, 5, 26)
     checks.append(("order-two value matches cosine",
                    float(np.max(np.abs(mittag_leffler(2.0, -x**2) - np.cos(x)))) < 1e-10))
-    checks.append(("stable kernel closed form",
-                   abs(f_alpha_half(1.0) - np.exp(-0.25) / (2 * np.sqrt(np.pi))) < 1e-14))
+    t = np.geomspace(0.05, 5.0, 9)
+    checks.append(("stable kernel closed form matches Zolotarev integral",
+                   float(np.max(np.abs(f_alpha_half(t) / _stable_zolotarev(0.5, t) - 1.0)))
+                   < 1e-12))
 
     params = config.medium()
     k_c = critical_wavenumber(params)

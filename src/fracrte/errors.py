@@ -15,10 +15,6 @@ class NumericalError(RuntimeError):
     """A numerical method failed on valid input."""
 
 
-class ConvergenceError(NumericalError):
-    """A series or iteration failed to reach the requested tolerance."""
-
-
 class InvalidPhaseFunctionError(ValueError):
     """Scattering kernel coefficients produce an inadmissible kernel."""
 
@@ -37,12 +33,11 @@ class EigenSolverError(NumericalError):
 
 
 class DefectiveOperatorError(NumericalError):
-    """Eigenvalues coalesced; the left/right eigenvector expansion is invalid."""
+    """Eigenvalues coalesced; the eigenvector expansion is invalid."""
 
-    def __init__(self, message, k=None, gap=None):
+    def __init__(self, message, k=None):
         super().__init__(message)
         self.k = k
-        self.gap = gap
 
 
 class ResolventError(NumericalError):

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = ["mittag_leffler", "m_wright", "f_alpha_half", "stable_density"]
 
@@ -261,8 +261,6 @@ def _m_wright_routed(nu, x):
     """Series values of M_nu over a flat array x >= 0, clipped at 0, and
     ``rest``, the points :func:`_m_wright_series` leaves to Zolotarev's integral."""
     values, rest = _m_wright_series(nu, x, _RTOL, _MAX_TERMS)
-    if np.any(rest & (x == 0.0)):
-        raise ConvergenceError("M-Wright series failed at x=0")
     return np.maximum(values, 0.0), rest
 
 

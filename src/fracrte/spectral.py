@@ -4,18 +4,19 @@ For each wavenumber k the truncated angular moments evolve under a complex
 symmetric tridiagonal operator A(k); the time evolution of the moment
 vector is the matrix Mittag-Leffler function E_alpha(-A(k) t^alpha).  The
 operator is non-normal for 0 < |k| below the critical wavenumber, so two
-expansions are exposed: the exact one built from right and left
-eigenvectors, and the Hermitian-weight expansion that uses conjugated
-eigenvector components (the classical normal-matrix formula).  They agree
-at k = 0 and asymptotically for large |k| but differ in between; both are
-kept because the closed-form benchmark solution is written in the
-Hermitian convention.  Eigenvalues are computed from the real similar
-matrix J^{-1} A J, J = diag(i^l), and so form exact conjugate pairs.
+expansions are exposed: the exact one, whose left eigenvectors are the
+transposed right ones (A^T = A), and the Hermitian-weight expansion that
+uses conjugated eigenvector components (the classical normal-matrix
+formula).  They agree at k = 0 and asymptotically for large |k| but differ
+in between; both are kept because the closed-form benchmark solution is
+written in the Hermitian convention.  Eigenvalues are computed from the
+real similar matrix J^{-1} A J, J = diag(i^l), and so form exact conjugate
+pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +45,11 @@ __all__ = [
     "d0",
 ]
 
-# Relative eigenvalue gap below which a point is treated as defective.
-# A true double root splits by ~sqrt(eps)*norm (~2e-8) in floating point,
-# so the threshold sits above that; displaced quadrature nodes sit at
-# gaps of 1e-4*norm and are never caught.
-_GAP_FACTOR = 1e-7
+# Eigenvalue condition number above which a matrix is treated as defective.
+# At a coalescence point the eigenvector turns self-orthogonal (q^T q -> 0):
+# kappa is 3.2e7 at k_c for N = 1 in floating point and 7.1e5 at
+# k_c (1 + 1e-12); the displaced quadrature nodes sit near 2e3.
+_KAPPA_MAX = 1e7
 
 
 @dataclass(frozen=True)
@@ -144,12 +145,6 @@ class SpectralOperator:
     entries: np.ndarray
     h: np.ndarray
 
-    @property
-    def norm(self):
-        """Infinity norm (maximum absolute row sum) of each matrix."""
-        norm = np.abs(self.entries).sum(axis=-1).max(axis=-1)
-        return float(norm) if norm.ndim == 0 else norm
-
 
 def assemble_operator(k, params, N):
     """Build the (N+1) x (N+1) operator for wavenumber k (scalar or array).
@@ -179,40 +174,21 @@ def assemble_operator(k, params, N):
 class ModeDecomposition:
     """Eigensystem of a SpectralOperator, stacked like its wavenumbers.
 
-    ``right_vectors`` holds eigenvectors as columns of Q and
-    ``left_vectors`` the rows of Q^{-1} (true left eigenvectors, no
-    conjugation).  ``defective_flag`` marks eigenvalue coalescence, where
-    Q is numerically singular and the expansion must not be used; the
-    left vectors of a flagged matrix are NaN.  A scalar wavenumber gives
-    float and bool fields, an array one arrays of its shape.  Q = J Q_R with
-    Q_R real (see :func:`decompose`), so conjugate modes have conjugate weights.
+    ``vectors`` holds the eigenvectors q_n as columns of Q; A = A^T makes
+    q_n^T a left eigenvector, so Q^{-1} = diag(1/q_n^T q_n) Q^T.  ``kappa``
+    is the largest eigenvalue condition number q_n^H q_n / |q_n^T q_n| of
+    each matrix.  It diverges where eigenvalues coalesce and q_n turns
+    self-orthogonal; ``defective_flag`` marks kappa > _KAPPA_MAX, where the
+    expansion must not be used.  A scalar wavenumber gives float and bool
+    fields, an array one arrays of its shape.  Q = J Q_R with Q_R real (see
+    :func:`decompose`), so conjugate modes have conjugate weights.
     """
 
     k: float | np.ndarray
     eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray
-    condition_estimate: float | np.ndarray
+    vectors: np.ndarray
+    kappa: float | np.ndarray
     defective_flag: bool | np.ndarray
-    operator_norm: float | np.ndarray = field(default=0.0)
-
-
-def defective_mask(lam, Q, norm):
-    """Coalescence test, vectorized over leading batch axes of ``lam``.
-
-    Defective means the smallest eigenvalue gap is below
-    ``_GAP_FACTOR * norm`` and cond(Q) exceeds 1e7.  cond(Q), one SVD per
-    matrix, is computed only where the gap test fires.  Returns the mask
-    and cond(Q), NaN where it was not computed.
-    """
-    idx = np.arange(lam.shape[-1])
-    gaps = np.abs(lam[..., :, None] - lam[..., None, :])
-    gaps[..., idx, idx] = np.inf
-    close = gaps.min(axis=(-2, -1)) < _GAP_FACTOR * norm
-    cond = np.full(close.shape, np.nan)
-    if np.any(close):
-        cond[close] = np.linalg.cond(Q[close])
-    return close & (cond > 1e7), cond
 
 
 def _rejected(stack):
@@ -233,18 +209,15 @@ _SLICE_WORK = 1 << 18
 
 
 def decompose(op):
-    """Full eigendecomposition of the operator with left eigenvectors.
+    """Eigendecomposition of the operator: eigenvalues, right eigenvectors
+    and the largest eigenvalue condition number of each matrix.
 
     One real eigensolver call per slice of stacked wavenumbers: for the
     unitary J = diag(i^l), R = J^{-1} A J has the diagonal of A, -c_l above
     it and +c_l below it (A's couplings are i c_l), so R is real and exactly
     similar to A.  Its complex eigenvalues come in exact conjugate pairs
-    with conjugate eigenvectors Q_R; Q = J Q_R has the same column norms
-    and condition number.  A matrix is defective only when eigenvalues
-    coalesce AND the eigenvector basis degenerates; repeated eigenvalues of
-    the diagonal k = 0 operator keep independent eigenvectors and are fine.
-    ``condition_estimate`` holds cond(Q) where the eigenvalue gap test
-    fired (inf where the matrix is defective) and NaN elsewhere.
+    with conjugate eigenvectors Q_R; Q = J Q_R.  The repeated eigenvalues
+    of the diagonal k = 0 operator keep orthonormal eigenvectors (kappa = 1).
 
     The slices hold ``_SLICE_WORK // n**3`` matrices each and run on the
     usable CPUs (see :func:`~fracrte.pool.ordered_map`), each writing its
@@ -261,13 +234,9 @@ def decompose(op):
     stack = op.entries.reshape(-1, n, n)
     # exact powers of i, whatever a complex power routine would round to
     J = np.array([1, 1j, -1, -1j])[np.arange(n) % 4]
-    norm = np.reshape(op.norm, -1)
-    norm = np.where(norm > 0, norm, 1.0)
     lam = np.empty(stack.shape[:-1], dtype=complex)
     Q = np.empty_like(stack)
-    Qinv = np.empty_like(stack)
-    cond = np.empty(len(stack))
-    defective = np.empty(len(stack), dtype=bool)
+    kappa = np.empty(len(stack))
     step = max(1, _SLICE_WORK // n**3)
 
     def solve(lo):
@@ -279,37 +248,37 @@ def decompose(op):
             failed = np.broadcast_to(op.k, batch).reshape(-1)[s][_rejected(real)]
             raise EigenSolverError(f"eigensolver failed at k={failed}", k=failed) from exc
         lam[s], Q[s] = lam_s, J[:, None] * Q_s
-        bad, cond[s] = defective_mask(lam[s], Q[s], norm[s])
-        defective[s] = bad
-        if not bad.any():
-            Qinv[s] = np.linalg.inv(Q[s])
-        else:
-            cond[s][bad] = np.inf
-            Qinv[s] = np.nan
-            if not bad.all():
-                Qinv[s][~bad] = np.linalg.inv(Q[s][~bad])
+        q_h_q, q_t_q = (np.abs(_expansion(Q[s], h)[1]) for h in (True, False))
+        with np.errstate(divide="ignore"):
+            kappa[s] = np.max(q_h_q / q_t_q, axis=-1)
 
     for _ in ordered_map(solve, range(0, len(stack), step)):
         pass
+    defective = kappa > _KAPPA_MAX
     scalar = not batch
     return ModeDecomposition(
         k=op.k,
         eigenvalues=lam.reshape(batch + (n,)),
-        right_vectors=Q.reshape(op.entries.shape),
-        left_vectors=Qinv.reshape(op.entries.shape),
-        condition_estimate=float(cond[0]) if scalar else cond.reshape(batch),
+        vectors=Q.reshape(op.entries.shape),
+        kappa=float(kappa[0]) if scalar else kappa.reshape(batch),
         defective_flag=bool(defective[0]) if scalar else defective.reshape(batch),
-        operator_norm=float(norm[0]) if scalar else norm.reshape(batch),
     )
 
 
-def ml_matrix_action(dec, t, alpha, c0):
-    """Apply E_alpha(-A t^alpha) to a moment vector via the eigensystem.
+def _expansion(Q, hermitian):
+    """Left factors Y and normalizations y_n^T q_n of the eigenvector expansion.
 
-    Uses the left eigenvectors (rows of Q^{-1}), not Hermitian conjugates;
-    this is the exact evolution of the truncated system.  At t = 0 the
-    result equals ``c0`` to round-off because E_alpha(0) = 1 on every mode.
+    A diagonalizable A has the resolution I = sum_n q_n y_n^T / (y_n^T q_n)
+    with y_n its left eigenvectors; A = A^T makes y_n = q_n, the exact
+    expansion.  The hermitian convention takes y_n = conj(q_n) instead,
+    which is exact only for normal A.  The two differ in nothing else.
     """
+    Y = Q.conj() if hermitian else Q
+    return Y, np.einsum("...in,...in->...n", Y, Q)
+
+
+def _action(dec, t, alpha, c0, hermitian):
+    """E_alpha(-A t^alpha) c0 through the projectors of :func:`_expansion`."""
     if dec.defective_flag:
         raise DefectiveOperatorError(
             f"defective operator at k={dec.k}; displace the wavenumber",
@@ -317,9 +286,20 @@ def ml_matrix_action(dec, t, alpha, c0):
         )
     if t < 0:
         raise DomainError("time t must be >= 0")
-    c0 = np.asarray(c0, dtype=complex)
+    Y, norms = _expansion(dec.vectors, hermitian)
     ml = mittag_leffler(alpha, -dec.eigenvalues * t**alpha)
-    return dec.right_vectors @ (ml * (dec.left_vectors @ c0))
+    return dec.vectors @ (ml * ((Y.T @ np.asarray(c0, dtype=complex)) / norms))
+
+
+def ml_matrix_action(dec, t, alpha, c0):
+    """Apply E_alpha(-A t^alpha) to a moment vector via the eigensystem.
+
+    Uses the left eigenvectors q_n^T / q_n^T q_n (rows of Q^{-1}), not
+    Hermitian conjugates; this is the exact evolution of the truncated
+    system.  At t = 0 the result equals ``c0`` to round-off because
+    E_alpha(0) = 1 on every mode.
+    """
+    return _action(dec, t, alpha, c0, hermitian=False)
 
 
 def hermitian_matrix_action(dec, t, alpha, c0):
@@ -329,18 +309,7 @@ def hermitian_matrix_action(dec, t, alpha, c0):
     operators, but this is the convention the closed-form benchmark
     solution is written in, so it is exposed alongside the exact action.
     """
-    if dec.defective_flag:
-        raise DefectiveOperatorError(
-            f"defective operator at k={dec.k}; displace the wavenumber",
-            k=dec.k,
-        )
-    if t < 0:
-        raise DomainError("time t must be >= 0")
-    c0 = np.asarray(c0, dtype=complex)
-    Q = dec.right_vectors
-    ml = mittag_leffler(alpha, -dec.eigenvalues * t**alpha)
-    coeffs = (Q.conj().T @ c0) / np.einsum("in,in->n", Q.conj(), Q)
-    return Q @ (ml * coeffs)
+    return _action(dec, t, alpha, c0, hermitian=True)
 
 
 def hermitian_mode_weights(dec, component=0):
@@ -350,17 +319,17 @@ def hermitian_mode_weights(dec, component=0):
     critical wavenumber (s = sqrt(1 - (k/k_c)^2), the smaller eigenvalue
     carrying the larger weight) and 1/2 above it; they sum to one there.
     """
-    Q = dec.right_vectors
-    norms = np.einsum("...in,...in->...n", Q.conj(), Q).real
-    return np.abs(Q[..., component, :]) ** 2 / norms
+    _, norms = _expansion(dec.vectors, hermitian=True)
+    return np.abs(dec.vectors[..., component, :]) ** 2 / norms.real
 
 
 def exact_mode_weights(dec, component=0):
-    """Component weights of the exact expansion, q_n[c] * (Q^{-1})[n, c].
+    """Component weights of the exact expansion, q_n[c]^2 / q_n^T q_n.
 
     These are complex in general, sum to one, and reduce to
     -(1-s)/(2s) and (1+s)/(2s) for the two-moment benchmark operator.
     """
     if np.any(dec.defective_flag):
         raise DefectiveOperatorError("defective operator has no eigenvector expansion", k=dec.k)
-    return dec.right_vectors[..., component, :] * dec.left_vectors[..., :, component]
+    Y, norms = _expansion(dec.vectors, hermitian=False)
+    return dec.vectors[..., component, :] * Y[..., component, :] / norms

@@ -216,6 +216,18 @@ def test_validate_catches_a_wrong_contour(monkeypatch, capsys):
 
 
 @pytest.mark.slow
+def test_validate_catches_a_wrong_stable_kernel(monkeypatch, capsys):
+    # the closed form f_{1/2} is checked against Zolotarev's integral, so a
+    # wrong closed form makes validate fail
+    import fracrte.specfun as specfun
+
+    right = specfun.f_alpha_half
+    monkeypatch.setattr(specfun, "f_alpha_half", lambda t: right(t) * (1 + 1e-9))
+    assert main(["validate", "--alpha", "0.5", "--t", "0.05"]) == 1
+    assert "FAIL  stable kernel closed form matches Zolotarev integral" in capsys.readouterr().out
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("flags", [["--v", "2"], ["--sigma-a", "1"]])
 def test_validate_off_default_medium(flags, capsys):
     # the two-moment eigenvalue check holds for any speed and absorption

@@ -15,7 +15,7 @@ import fracrte.spectral as spectral
 import fracrte.subordination as subordination
 import fracrte.transport as transport
 from fracrte.diffusion import DiffusionParams, diffusion_density_mwright
-from fracrte.errors import DomainError, QuadratureError
+from fracrte.errors import DomainError, QuadratureError, ResolventError
 from fracrte.spectral import assemble_operator, critical_wavenumber, d0, section5_medium
 from fracrte.specfun import m_wright, mittag_leffler
 from fracrte.transport import (
@@ -35,6 +35,9 @@ from fracrte.transport import (
     scattered_coefficients,
     source_vector,
 )
+
+# the coalescence point of the benchmark medium's two-moment operator, any alpha
+K_C_BENCHMARK = critical_wavenumber(section5_medium(0.5))
 
 
 @pytest.fixture(scope="module")
@@ -396,13 +399,13 @@ class TestNamedFailures:
         # a wavenumber that stays flagged through every displacement is the
         # only one the error carries and prints
         ks = np.linspace(0.0, 5.0, 2000)
-        real_mask = spectral.defective_mask
+        real_decompose = transport.decompose
 
-        def stuck(lam, Q, norm):
-            bad, cond = real_mask(lam, Q, norm)
-            return bad | (np.arange(bad.size) == 1500), cond
+        def stuck(op):
+            dec = real_decompose(op)
+            return replace(dec, defective_flag=dec.defective_flag | (np.arange(ks.size) == 1500))
 
-        monkeypatch.setattr(spectral, "defective_mask", stuck)
+        monkeypatch.setattr(transport, "decompose", stuck)
         with pytest.raises(QuadratureError) as info:
             transport._decompose_displaced(ks, medium, 1)
         assert np.array_equal(info.value.detail["k"], [ks[1500]])
@@ -515,17 +518,29 @@ class TestCollisionSplit:
         cv = scattered_coefficients(1.0, 0.0, 0.5, 3, medium)
         assert np.max(np.abs(cv.c)) == 0.0
 
-    def test_split_identity_random_triples(self, medium):
-        rng = np.random.default_rng(42)
-        for _ in range(60):
-            k = rng.uniform(0.01, 10.0)
-            t = rng.uniform(0.001, 2.0)
-            mu0 = rng.uniform(-1.0, 1.0)
-            N = int(rng.choice([1, 3, 7]))
-            cb = ballistic_coefficients(k, t, mu0, N, medium).c
-            cs = scattered_coefficients(k, t, mu0, N, medium).c
-            cf = evolve_coefficients(k, t, mu0, N, medium).c
-            assert np.linalg.norm(cb + cs - cf) < 1e-8
+    @settings(max_examples=200)
+    @given(alpha=st.floats(0.05, 1.0, exclude_min=True),
+           N=st.integers(1, 15),  # from the benchmark kernel's degree
+           k=st.one_of(st.floats(1e-3, 1e3),
+                       st.floats(-1e-6, 1e-6).map(lambda d: K_C_BENCHMARK * (1 + d))),
+           t=st.floats(0.001, 2.0), mu0=st.floats(-1.0, 1.0))
+    def test_split_identity_random_triples(self, alpha, N, k, t, mu0):
+        # the exact action runs through every term: the full evolution, the
+        # scattered part's forcing, and (near k_c) the displaced decomposition
+        m = section5_medium(alpha)
+        cb = ballistic_coefficients(k, t, mu0, N, m).c
+        cs = scattered_coefficients(k, t, mu0, N, m).c
+        cf = evolve_coefficients(k, t, mu0, N, m).c
+        assert np.linalg.norm(cb + cs - cf) < 1e-8
+
+    def test_near_singular_resolvent_is_named(self, medium):
+        # for N above the kernel degree, zeta I - A is singular at k = 0 and
+        # its condition number grows like 1/k (4.8e14 at k = 1e-13)
+        with pytest.raises(ResolventError):
+            scattered_coefficients(1e-13, 0.5, 0.3, 3, medium)
+        with pytest.raises(ResolventError):
+            scattered_coefficients(0.0, 0.5, 0.3, 3, medium)
+        assert np.all(np.isfinite(scattered_coefficients(1e-9, 0.5, 0.3, 3, medium).c))
 
     def test_closure_term_is_required(self, medium):
         # without the last-row streaming closure the split misses at the
