@@ -305,10 +305,13 @@ def _run_validate(config):
         ok_split &= float(np.linalg.norm(cb + cs - cf)) < 1e-8
     checks.append(("ballistic plus scattered equals full", bool(ok_split)))
 
-    if 0.0 < config.alpha < 1.0:
-        kernel = build_kernel(max(config.times[0], 1e-3), config.alpha)
-        checks.append(("subordination kernel has unit mass",
-                       abs(kernel.mass - 1.0) < 1e-6))
+    if 0.0 < config.alpha < 1.0:  # lam = 0 is the unit mass
+        t, lam = max(config.times[0], 1e-3), np.array([0.0, 2.0, 12 + 350j, 5 - 120j, 350j])
+        kernel = build_kernel(t, config.alpha, lam_max=350.0)
+        fold = np.exp(np.multiply.outer(lam, -kernel.nodes)) @ kernel.weights
+        ml = mittag_leffler(config.alpha, -lam * t**config.alpha)
+        checks.append(("subordination kernel has unit mass and folds to Mittag-Leffler",
+                       float(np.max(np.abs(fold - ml))) < 1e-8))
 
     dp = DiffusionParams.from_medium(params)
     if dp.sigma_a == 0:

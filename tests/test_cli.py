@@ -228,6 +228,26 @@ def test_validate_catches_a_wrong_stable_kernel(monkeypatch, capsys):
 
 
 @pytest.mark.slow
+def test_validate_catches_a_wrong_subordination_kernel(monkeypatch, capsys):
+    # the kernel check folds exp(-lam tau) against Mittag-Leffler, so a rule
+    # with wrongly scaled nodes fails it, although its mass is still one
+    from dataclasses import replace
+
+    import fracrte.subordination as subordination
+
+    right = subordination.build_kernel
+
+    def stretched(*args, **kwargs):
+        kernel = right(*args, **kwargs)
+        return replace(kernel, nodes=kernel.nodes * (1 + 1e-6))
+
+    monkeypatch.setattr(subordination, "build_kernel", stretched)
+    assert main(["validate", "--alpha", "0.5", "--t", "0.05"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  subordination kernel has unit mass and folds to Mittag-Leffler" in out
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("flags", [["--v", "2"], ["--sigma-a", "1"]])
 def test_validate_off_default_medium(flags, capsys):
     # the two-moment eigenvalue check holds for any speed and absorption

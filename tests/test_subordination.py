@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma
 
 from fracrte.diffusion import DiffusionParams, diffusion_density_mwright
 from fracrte.errors import DomainError
-from fracrte.specfun import f_alpha_half
+from fracrte.specfun import f_alpha_half, mittag_leffler
 from fracrte.subordination import build_kernel, kernel_phi, subordinated_energy_density
 
 D0 = 1.0 / 3.0
@@ -48,18 +50,30 @@ class TestKernelPhi:
 
 
 class TestKernelGrid:
-    @pytest.mark.parametrize("alpha", [
-        0.25, 0.5, 0.75, 0.9, 0.95,
-        # the trapezoid grid misses unit mass by 2.4e-6 and 4.3e-5 here,
-        # while stable_density itself matches a 40-digit oracle to 7e-10
-        pytest.param(0.99, marks=pytest.mark.xfail(
-            strict=True, reason="kernel grid mass defect 2.4e-6 at alpha=0.99")),
-        pytest.param(0.999, marks=pytest.mark.xfail(
-            strict=True, reason="kernel grid mass defect 4.3e-5 at alpha=0.999")),
-    ])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999])
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
     def test_unit_mass(self, alpha, t):
         assert abs(build_kernel(t, alpha).mass - 1.0) < 1e-6
+
+    @settings(max_examples=150)
+    @given(alpha=st.floats(0.3, 0.999), t=st.floats(0.01, 1.0), re=st.floats(0.0, 12.0),
+           im=st.floats(-350.0, 350.0))
+    def test_fold_is_mittag_leffler(self, alpha, t, re, im):
+        # int phi(tau, t) exp(-lam tau) d tau = E_alpha(-lam t^alpha); unlike
+        # the mass, the fold also shows whether the panels resolve the
+        # oscillation of exp(-lam tau)
+        lam = complex(re, im)
+        kernel = build_kernel(t, alpha, lam_max=abs(lam))
+        fold = np.sum(kernel.weights * np.exp(-lam * kernel.nodes))
+        assert abs(fold - mittag_leffler(alpha, -lam * t**alpha)) <= 1e-9
+
+    def test_node_count(self):
+        # the subordinate benchmark's kernel: alpha = 0.95, t = 0.05 and the
+        # largest |lam| of its upper N = 1 modes
+        assert build_kernel(0.05, 0.95, lam_max=202.0).nodes.size <= 500
+
+    def test_node_floor(self):
+        assert build_kernel(0.05, 0.5, n_nodes=2400).nodes.size >= 2400
 
     def test_first_moment(self):
         # integral of tau phi(tau, t) d tau = t^alpha / Gamma(1 + alpha)
@@ -119,9 +133,6 @@ class TestSubordination:
         den = np.trapezoid(np.abs(direct), xs)
         assert num / den < 1e-3
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "build_kernel's default grid (603 nodes) is too coarse below alpha ~ 0.45: "
-        "5.4e-3 off at alpha = 0.3, 3.6e-11 with n_nodes=4000"))
     def test_low_order_matches_direct(self):
         # criterion 7's comparison at alpha = 0.3: the subordinated density
         # against the direct solve with the same mollifier, bound 1e-3
