@@ -84,7 +84,4 @@ def diffusion_density_mwright(x, t, dp):
             "use diffusion_density_quadrature"
         )
     scale = np.sqrt(dp.D0) * t ** (dp.alpha / 2.0)
-    x_arr = np.abs(np.asarray(x, dtype=float))
-    scalar = x_arr.ndim == 0
-    vals = m_wright(dp.alpha / 2.0, np.atleast_1d(x_arr) / scale) / (2.0 * scale)
-    return float(vals[0]) if scalar else vals.reshape(np.asarray(x).shape)
+    return m_wright(dp.alpha / 2.0, np.abs(np.asarray(x, dtype=float)) / scale) / (2.0 * scale)

@@ -69,11 +69,11 @@ class MediumParams:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.v <= 0:
+        if not self.v > 0:
             raise DomainError(f"speed v must be positive, got {self.v}")
-        if self.sigma_s <= 0:
+        if not self.sigma_s > 0:
             raise DomainError(f"sigma_s must be positive, got {self.sigma_s}")
-        if self.sigma_a < 0:
+        if not self.sigma_a >= 0:
             raise DomainError(f"sigma_a must be >= 0, got {self.sigma_a}")
 
     @property

@@ -80,8 +80,8 @@ class QuadratureSpec:
     tail_mode: str = "asymptotic_subtraction"
 
     def __post_init__(self):
-        if self.k_max is not None and self.k_max <= 0:
-            raise DomainError("k_max must be positive")
+        if self.k_max is not None and not 0 < self.k_max < np.inf:
+            raise DomainError("k_max must be positive and finite")
         if self.nodes_per_halfperiod < 8:
             raise DomainError("nodes_per_halfperiod must be >= 8")
         if self.tail_mode not in ("none", "asymptotic_subtraction"):
@@ -285,8 +285,8 @@ def _fit_algebraic_tail(k_top, r_top, q):
     return a
 
 
-# entries of one (position x node) Bessel table, which bounds a sub-chunk,
-# and of one (row x position x panel) array of panel sums, which bounds a block
+# entries of one (position x node) Bessel table and of one
+# (row x position x panel) array of panel sums; both bound a chunk of positions
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -344,12 +344,12 @@ class _PanelLayout:
         Each distinct position is reduced once and its value scattered to
         every copy; only exactly equal values merge, so mirror positions
         that differ in their last bits stay separate.  The distinct
-        positions go in blocks whose panel sums (rows x positions x panels)
-        hold at most ``_CHUNK_ENTRIES`` entries, a whole number of Bessel
-        sub-chunks of at most ``_CHUNK_ENTRIES`` table entries each.  Every
-        step works row by row and position by position, and the layout
-        does not depend on the positions, so a value does not depend on the
-        other positions of the call.  Raises QuadratureError if a value is
+        positions go in chunks whose Bessel table (positions x nodes) and
+        panel sums (rows x positions x panels) each hold at most
+        ``_CHUNK_ENTRIES`` entries.  Every step works row by row and
+        position by position, and the layout does not depend on the
+        positions, so a value does not depend on the other positions of
+        the call.  Raises QuadratureError if a value is
         not finite.
         """
         nodes = self.flat_nodes
@@ -373,15 +373,10 @@ class _PanelLayout:
         x = np.asarray(x, dtype=float)
         distinct, inverse = np.unique(x, return_inverse=True)
         values = np.empty((len(f_rows), distinct.size))
-        chunk = max(1, _CHUNK_ENTRIES // nodes.size)
-        block = max(1, _CHUNK_ENTRIES // (len(f_rows) * len(self.half)))
-        chunk = min(chunk, block)
-        block -= block % chunk
-        for lo in range(0, distinct.size, block):
-            xb = distinct[lo:lo + block]
-            panels = np.concatenate([self._panel_sums(xb[i:i + chunk], coef)
-                                     for i in range(0, xb.size, chunk)], axis=1)
-            values[:, lo:lo + block] = self._filon_sum(panels, xb, end)
+        chunk = max(1, _CHUNK_ENTRIES // max(nodes.size, len(f_rows) * len(self.half)))
+        for lo in range(0, distinct.size, chunk):
+            xc = distinct[lo:lo + chunk]
+            values[:, lo:lo + chunk] = self._filon_sum(self._panel_sums(xc, coef), xc, end)
         # Hermitian integrand: (1/2pi) * 2 Re
         values = values / np.pi + (a_alg[:, None] * np.exp(-self.q * np.abs(distinct))
                                    / (2.0 * self.q))

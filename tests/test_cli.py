@@ -248,6 +248,25 @@ def test_validate_catches_a_wrong_subordination_kernel(monkeypatch, capsys):
 
 
 @pytest.mark.slow
+def test_validate_catches_wrong_eigenvalues(monkeypatch, capsys):
+    # the two-moment check compares one batched decomposition with the
+    # closed-form pairs, so eigenvalues off by 1e-8 make validate fail
+    from dataclasses import replace
+
+    import fracrte.spectral as spectral
+
+    right = spectral.decompose
+
+    def scaled(op):
+        dec = right(op)
+        return replace(dec, eigenvalues=dec.eigenvalues * (1 + 1e-8))
+
+    monkeypatch.setattr(spectral, "decompose", scaled)
+    assert main(["validate", "--alpha", "0.5", "--t", "0.05"]) == 1
+    assert "FAIL  two-moment eigenvalues match closed form" in capsys.readouterr().out
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("flags", [["--v", "2"], ["--sigma-a", "1"]])
 def test_validate_off_default_medium(flags, capsys):
     # the two-moment eigenvalue check holds for any speed and absorption
@@ -266,6 +285,55 @@ def test_invalid_physical_input_is_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_help_lists_every_flag(capsys):
+    # one flag per RunConfig field but subcommand and acceleration_order
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    options = re.findall(r"^  (-[-\w]+)", capsys.readouterr().out, re.M)
+    assert options == ["-h", "--config", "--alpha", "--v", "--sigma-s", "--sigma-a", "--g",
+                       "--beta", "--N", "--x-min", "--x-max", "--n-x", "--t", "--k-max",
+                       "--nodes-per-halfperiod", "--tail-mode", "--mode", "--seed",
+                       "--n-walkers", "--tau", "--output-path"]
+
+
+@pytest.mark.parametrize("subcommand", ["transport", "diffusion", "ctrw", "subordinate",
+                                        "validate", "figures"])
+@pytest.mark.parametrize("line", ["tail_mode=bogus", "nodes_per_halfperiod=2", "k_max=-5",
+                                  "g=1.5"])
+def test_bad_file_value_is_rejected_before_output(subcommand, line, tmp_path, capsys):
+    # every value is checked when the configuration is built, whether or
+    # not the subcommand reads it, so nothing is created or printed
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(config), "--output-path", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert line.split("=")[0] in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, raw, key", [
+    ("--tail-mode", "bogus", "tail_mode"),
+    ("--mode", "bogus", "mode"),
+    ("--t", "", "times"),
+    ("--t", "0.1,nan", "times"),
+    ("--k-max", "nan", "k_max"),
+    ("--k-max", "inf", "k_max"),
+    ("--v", "nan", "v"),
+    ("--sigma-a", "nan", "sigma_a"),
+])
+def test_bad_flag_value_is_rejected_before_output(flag, raw, key, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["diffusion", flag, raw, "--output-path", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not out.exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -581,7 +581,7 @@ class TestReductionLocality:
         subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         perm = data.draw(st.permutations(range(n)))
         single = data.draw(st.integers(0, n - 1))
-        # Bessel sub-chunks of 25 positions, so that x spans three of them
+        # chunks of 25 positions, so that x spans three of them
         with mock.patch.object(transport, "_CHUNK_ENTRIES", 25 * layout.flat_nodes.size):
             assert x.size > 2 * (transport._CHUNK_ENTRIES // layout.flat_nodes.size)
             for idx in (subset, perm, [single]):
@@ -596,8 +596,8 @@ class TestReductionLocality:
     @staticmethod
     def _spy(monkeypatch):
         """Record the positions that reach the Filon tables, and the
-        positions and panel sums of each block."""
-        seen = {"tables": [], "blocks": []}
+        positions and panel sums of each chunk."""
+        seen = {"tables": [], "chunks": []}
         real_sums, real_filon = _PanelLayout._panel_sums, _PanelLayout._filon_sum
 
         def panel_sums(self, x, coef):
@@ -605,7 +605,7 @@ class TestReductionLocality:
             return real_sums(self, x, coef)
 
         def filon_sum(self, panels, x, end):
-            seen["blocks"].append((np.array(x), panels.size))
+            seen["chunks"].append((np.array(x), panels.size))
             return real_filon(self, panels, x, end)
 
         monkeypatch.setattr(_PanelLayout, "_panel_sums", panel_sums)
@@ -613,18 +613,21 @@ class TestReductionLocality:
         return seen
 
     def test_small_chunks(self, monkeypatch, layout_case):
-        # Bessel sub-chunks of 5 positions; blocks of 40 positions over x
-        # (2 rows) and of 80 over the 119 distinct signed positions (1 row;
-        # 0 and -0 are one position)
+        # chunks of 5 positions, bound by the Bessel table: 12 over x and 24
+        # over the 119 distinct signed positions (0 and -0 are one position);
+        # with 40 rows the panel sums bind instead, at 2 positions a chunk
         layout, x, times, u_hat, shifted, full, full_c = layout_case
+        many_rows = np.tile(shifted, (40, 1))
+        full_rows = _PanelLayout.reduce(layout, many_rows, x)
         entries = 5 * layout.flat_nodes.size
         monkeypatch.setattr(transport, "_CHUNK_ENTRIES", entries)
         seen = self._spy(monkeypatch)
         assert np.array_equal(layout.reduce(u_hat, x, times), full)
         assert np.array_equal(_PanelLayout.reduce(layout, shifted, np.r_[x, -x]), full_c)
-        assert [b[0].size for b in seen["blocks"]] == [40, 20, 80, 39]
-        assert all(size <= entries for _, size in seen["blocks"])
-        assert all(0 < t.size <= 5 for t in seen["tables"]) and len(seen["tables"]) == 36
+        assert np.array_equal(_PanelLayout.reduce(layout, many_rows, x), full_rows)
+        assert [t.size for t in seen["tables"]] == [5] * 35 + [4] + [2] * 30
+        assert all(np.array_equal(t, c) for t, (c, _) in zip(seen["tables"], seen["chunks"]))
+        assert all(size <= entries for _, size in seen["chunks"])
 
     def test_repeats_and_mirrors(self, layout_case):
         # repeated positions and exact mirrors take the values of their
@@ -646,7 +649,7 @@ class TestReductionLocality:
         assert distinct.size == 573
         layout.reduce(u_hat, np.r_[grid, grid[::7]], times)
         assert np.array_equal(np.concatenate(seen["tables"]), distinct)
-        assert np.array_equal(np.concatenate([b[0] for b in seen["blocks"]]), distinct)
+        assert np.array_equal(np.concatenate([c[0] for c in seen["chunks"]]), distinct)
 
     def test_stacked_tail_transform(self):
         # one m_wright call for every time gives the per-time transforms
