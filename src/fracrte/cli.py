@@ -83,11 +83,12 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise ValueError(f"unknown subcommand {self.subcommand!r}")
-        if self.n_x < 2 or not self.x_min < self.x_max:
-            raise ValueError("grid requires n_x >= 2 and x_min < x_max")
+        if not (self.n_x >= 2 and -math.inf < self.x_min < self.x_max < math.inf):
+            raise ValueError("grid requires n_x >= 2 and finite x_min < x_max")
         ts = tuple(self.times)
-        if not (ts and ts[0] > 0 and all(b > a for a, b in zip(ts, ts[1:]))):
-            raise ValueError("times must be non-empty, positive and strictly increasing")
+        if not (ts and 0 < ts[0] and ts[-1] < math.inf
+                and all(b > a for a, b in zip(ts, ts[1:]))):
+            raise ValueError("times must be non-empty, positive, finite and strictly increasing")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         phase = PhaseFunction(self.beta) if self.beta else PhaseFunction.linear(self.g)

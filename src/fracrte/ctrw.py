@@ -85,8 +85,8 @@ def map_params(params, tau):
                       r=float(r), alpha=params.alpha)
 
 
-def sample_waiting_time(alpha, tau, rng, n=None):
-    """Draw Mittag-Leffler waiting times with survival E_alpha(-(t/tau)^alpha).
+def sample_waiting_time(alpha, tau, rng, n):
+    """Draw n Mittag-Leffler waiting times with survival E_alpha(-(t/tau)^alpha).
 
     Uses the exact inversion T = -tau ln(U) [sin(a pi)/tan(a pi V)
     - cos(a pi)]^(1/a) with independent uniforms U, V; alpha = 1
@@ -97,14 +97,12 @@ def sample_waiting_time(alpha, tau, rng, n=None):
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
     if tau <= 0:
         raise DomainError("tau must be positive")
-    squeeze = n is None
-    size = 1 if squeeze else int(n)
-    t = rng.random(size)
+    t = rng.random(int(n))
     t[t == 0.0] = np.finfo(float).tiny
     np.log(t, out=t)
     t *= -tau
     if alpha != 1.0:
-        factor = rng.random(size)
+        factor = rng.random(t.size)
         np.clip(factor, 1e-300, 1.0 - 1e-16, out=factor)
         factor *= alpha * np.pi
         np.tan(factor, out=factor)
@@ -112,7 +110,7 @@ def sample_waiting_time(alpha, tau, rng, n=None):
         factor -= np.cos(alpha * np.pi)
         factor **= 1.0 / alpha
         t *= factor
-    return float(t[0]) if squeeze else t
+    return t
 
 
 def _collide(x, mu, weight, cp, pf, rng):
@@ -167,7 +165,7 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed):
     ----------
     n_walkers : int
     t_obs : sequence of float
-        Increasing observation times.
+        Positive, finite, increasing observation times.
     x_grid : array_like
         Increasing, uniformly spaced bin centers (at least two).
     params : MediumParams
@@ -181,8 +179,8 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed):
         raise DomainError("need at least one walker")
     cp = map_params(params, tau)
     t_obs = np.atleast_1d(np.asarray(t_obs, dtype=float))
-    if np.any(t_obs <= 0) or np.any(np.diff(t_obs) <= 0):
-        raise DomainError("observation times must be positive and increasing")
+    if not (np.all((t_obs > 0) & (t_obs < np.inf)) and np.all(np.diff(t_obs) > 0)):
+        raise DomainError("observation times must be positive, finite and increasing")
     centers = np.asarray(x_grid, dtype=float)
     if centers.ndim != 1 or centers.size < 2:
         raise DomainError("x_grid needs at least two bin centers")

@@ -48,15 +48,15 @@ class DiffusionParams:
         return cls(alpha=params.alpha, D0=d0(params), sigma_a=params.sigma_a)
 
 
-def diffusion_density_quadrature(x, t, dp, spec=None):
+def diffusion_density_quadrature(x, t, dp):
     """Fundamental diffusion solution by cosine-transform quadrature.
 
     Evaluates (1/pi) * integral_0^inf cos(kx) E_alpha(-(D0 k^2 + sigma_a)
     t^alpha) dk.  Even in x; unit mass when sigma_a = 0.  ``x`` may be a
     scalar (returns a float) or an array (returns an array of its shape);
     one panel layout serves all positions of one call.  The integrand's
-    scale 1/sqrt(D0 t^alpha) is the layout's k_c, so without a ``spec``
-    the range ends at 2e4 times it.
+    scale 1/sqrt(D0 t^alpha) is the layout's k_c, and the range ends at
+    2e4 times it.
     """
     if t <= 0:
         raise DomainError("t must be positive")
@@ -66,7 +66,7 @@ def diffusion_density_quadrature(x, t, dp, spec=None):
         k = np.asarray(k, dtype=float)
         return mittag_leffler(alpha, -(D0 * k**2 + sig_a) * t**alpha).real
 
-    return fourier_inversion(f, x, spec=spec, k_c=1.0 / np.sqrt(D0 * t**alpha))
+    return fourier_inversion(f, x, k_c=1.0 / np.sqrt(D0 * t**alpha))
 
 
 def diffusion_density_mwright(x, t, dp):

@@ -93,7 +93,7 @@ class PhaseFunction:
 
     def __init__(self, beta, require_nonnegative=False):
         beta = tuple(float(b) for b in np.atleast_1d(beta))
-        if len(beta) == 0 or abs(beta[0] - 1.0) > 1e-12:
+        if len(beta) == 0 or not abs(beta[0] - 1.0) <= 1e-12:
             raise InvalidPhaseFunctionError("beta_0 must be 1 (kernel normalization)")
         for l, b in enumerate(beta[1:], start=1):
             if not (0.0 < b < 2 * l + 1):

@@ -3,15 +3,16 @@
 For each wavenumber k the truncated angular moments evolve under a complex
 symmetric tridiagonal operator A(k); the time evolution of the moment
 vector is the matrix Mittag-Leffler function E_alpha(-A(k) t^alpha).  The
-operator is non-normal for 0 < |k| below the critical wavenumber, so two
-expansions are exposed: the exact one, whose left eigenvectors are the
-transposed right ones (A^T = A), and the Hermitian-weight expansion that
-uses conjugated eigenvector components (the classical normal-matrix
-formula).  They agree at k = 0 and asymptotically for large |k| but differ
-in between; both are kept because the closed-form benchmark solution is
-written in the Hermitian convention.  Eigenvalues are computed from the
-real similar matrix J^{-1} A J, J = diag(i^l), and so form exact conjugate
-pairs.
+operator is non-normal for 0 < |k| below the critical wavenumber.  Every
+matrix function here is applied through the exact projectors
+q_n q_n^T / q_n^T q_n, whose left vectors are the transposed right ones
+(A^T = A).  The Hermitian convention, which conjugates the eigenvector
+components (the classical normal-matrix formula), survives only as the
+component-0 weights of :func:`hermitian_mode_weights`, because the
+closed-form benchmark solution is written in it; it agrees with the exact
+expansion at k = 0 and asymptotically for large |k| but differs in
+between.  Eigenvalues are computed from the real similar matrix
+J^{-1} A J, J = diag(i^l), and so form exact conjugate pairs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "h_coeff",
     "assemble_operator",
     "decompose",
+    "modal_action",
     "ml_matrix_action",
     "hermitian_mode_weights",
     "exact_mode_weights",
@@ -69,12 +71,12 @@ class MediumParams:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not self.v > 0:
-            raise DomainError(f"speed v must be positive, got {self.v}")
-        if not self.sigma_s > 0:
-            raise DomainError(f"sigma_s must be positive, got {self.sigma_s}")
-        if not self.sigma_a >= 0:
-            raise DomainError(f"sigma_a must be >= 0, got {self.sigma_a}")
+        if not 0 < self.v < np.inf:
+            raise DomainError(f"speed v must be positive and finite, got {self.v}")
+        if not 0 < self.sigma_s < np.inf:
+            raise DomainError(f"sigma_s must be positive and finite, got {self.sigma_s}")
+        if not 0 <= self.sigma_a < np.inf:
+            raise DomainError(f"sigma_a must be >= 0 and finite, got {self.sigma_a}")
 
     @property
     def sigma_t(self):
@@ -268,18 +270,19 @@ def _expansion(Q, hermitian):
     return Y, np.einsum("...in,...in->...n", Y, Q)
 
 
-def _action(dec, t, alpha, c0, hermitian):
-    """E_alpha(-A t^alpha) c0 through the projectors of :func:`_expansion`."""
+def modal_action(dec, factors, c0):
+    """f(A) c0 from the modal factors f_n = f(lambda_n) of one matrix.
+
+    Sums f_n q_n (q_n^T c0) / (q_n^T q_n) over the exact projectors of
+    :func:`_expansion`; ``factors`` is ordered like ``dec.eigenvalues``.
+    """
     if dec.defective_flag:
         raise DefectiveOperatorError(
             f"defective operator at k={dec.k}; displace the wavenumber",
             k=dec.k,
         )
-    if t < 0:
-        raise DomainError("time t must be >= 0")
-    Y, norms = _expansion(dec.vectors, hermitian)
-    ml = mittag_leffler(alpha, -dec.eigenvalues * t**alpha)
-    return dec.vectors @ (ml * ((Y.T @ np.asarray(c0, dtype=complex)) / norms))
+    Y, norms = _expansion(dec.vectors, hermitian=False)
+    return dec.vectors @ (factors * ((Y.T @ np.asarray(c0, dtype=complex)) / norms))
 
 
 def ml_matrix_action(dec, t, alpha, c0):
@@ -290,17 +293,9 @@ def ml_matrix_action(dec, t, alpha, c0):
     system.  At t = 0 the result equals ``c0`` to round-off because
     E_alpha(0) = 1 on every mode.
     """
-    return _action(dec, t, alpha, c0, hermitian=False)
-
-
-def hermitian_matrix_action(dec, t, alpha, c0):
-    """Evolution using Hermitian-conjugate eigenvector weights.
-
-    Expands with projectors q_n q_n^H / (q_n^H q_n); exact only for normal
-    operators, but this is the convention the closed-form benchmark
-    solution is written in, so it is exposed alongside the exact action.
-    """
-    return _action(dec, t, alpha, c0, hermitian=True)
+    if t < 0:
+        raise DomainError("time t must be >= 0")
+    return modal_action(dec, mittag_leffler(alpha, -dec.eigenvalues * t**alpha), c0)
 
 
 def hermitian_mode_weights(dec):

@@ -36,9 +36,9 @@ from .spectral import (
     d0,
     decompose,
     exact_mode_weights,
-    hermitian_matrix_action,
     hermitian_mode_weights,
     ml_matrix_action,
+    modal_action,
 )
 
 __all__ = [
@@ -158,23 +158,18 @@ def _decompose_displaced(k, params, N):
                           detail={"k": flagged})
 
 
-def evolve_coefficients(k, t, mu0, N, params, mode="exact"):
+def evolve_coefficients(k, t, mu0, N, params):
     """Moment vector at time t for one wavenumber.
 
-    ``mode="exact"`` applies the true matrix Mittag-Leffler function via
-    the eigenvectors and their transposes; ``mode="hermitian"`` uses the
-    conjugated eigenvector weights of the closed-form convention.
+    Applies the true matrix Mittag-Leffler function via the eigenvectors
+    and their transposes (:func:`~fracrte.spectral.ml_matrix_action`).
     """
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}")
     if t < 0:
         raise DomainError("t must be >= 0")
     c0 = initial_coefficients(mu0, N).c
     if t == 0:
         return CoefficientVector(k=float(k), t=0.0, mu0=float(mu0), c=c0)
-    dec = _decompose_displaced(k, params, N)
-    action = ml_matrix_action if mode == "exact" else hermitian_matrix_action
-    c = action(dec, t, params.alpha, c0)
+    c = ml_matrix_action(_decompose_displaced(k, params, N), t, params.alpha, c0)
     return CoefficientVector(k=float(k), t=float(t), mu0=float(mu0), c=c)
 
 
@@ -670,46 +665,49 @@ def _truncation_closure(k, mu0, params, N):
     )
 
 
-def scattered_coefficients(k, t, mu0, N, params, mode="exact"):
+def scattered_coefficients(k, t, mu0, N, params):
     """Moments of the collided (scattered) part of the density.
 
-    Solves the forced moment system with the attenuated ballistic source:
+    The forced moment system with the attenuated ballistic source has
     c_s(t) = (zeta I - A)^{-1} [E_alpha(-A t^alpha) - E_alpha(-zeta t^alpha)] B,
-    zeta = i k v mu0 + sigma_t.  With the truncation closure carried in B
-    the identity c_ballistic + c_scattered = c_full holds to round-off at
-    every finite truncation order.
+    zeta = i k v mu0 + sigma_t.  Both matrix functions are diagonal in the
+    exact projectors, so mode n carries the factor
+    (E_alpha(-lambda_n t^alpha) - E_alpha(-zeta t^alpha)) / (zeta - lambda_n).
+    A, zeta and the truncation closure carried in B are all taken at the
+    wavenumber of the decomposition (k except at defective points, see
+    :func:`_decompose_displaced`), as is the attenuation of
+    :func:`ballistic_coefficients`; so c_ballistic + c_scattered = c_full
+    holds to round-off at every finite truncation order and every k.
     """
     if t < 0:
         raise DomainError("t must be >= 0")
     if t == 0:
         return CoefficientVector(k=float(k), t=0.0, mu0=float(mu0),
                                  c=np.zeros(N + 1, dtype=complex))
-    zeta = 1j * k * params.v * mu0 + params.sigma_t
-    b = source_vector(mu0, params, N)
-    b[N] += _truncation_closure(k, mu0, params, N)
     dec = _decompose_displaced(k, params, N)
-    action = ml_matrix_action if mode == "exact" else hermitian_matrix_action
-    ml_b = action(dec, t, params.alpha, b)
-    scalar_ml = mittag_leffler(params.alpha, -zeta * t**params.alpha)
-    rhs = ml_b - scalar_ml * b
-    A = assemble_operator(k, params, N).entries
-    shifted = zeta * np.eye(N + 1) - A
-    try:
-        c = np.linalg.solve(shifted, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ResolventError(f"resolvent singular at k={k}, mu0={mu0}") from exc
+    zeta = 1j * dec.k * params.v * mu0 + params.sigma_t
     # cond(zeta I - A) estimated from the spectrum: the spread of
     # |zeta - lambda_n| times the eigenvalue condition number
     gap = np.abs(zeta - dec.eigenvalues)
     if dec.kappa * gap.max() > 1e12 * gap.min():
         raise ResolventError(f"resolvent ill-conditioned at k={k} "
                              f"(min |zeta - lambda| = {gap.min():.1e})")
+    b = source_vector(mu0, params, N)
+    b[N] += _truncation_closure(dec.k, mu0, params, N)
+    ml = mittag_leffler(params.alpha, -dec.eigenvalues * t**params.alpha)
+    ml_zeta = mittag_leffler(params.alpha, -zeta * t**params.alpha)
+    c = modal_action(dec, (ml - ml_zeta) / (zeta - dec.eigenvalues), b)
     return CoefficientVector(k=float(k), t=float(t), mu0=float(mu0), c=c)
 
 
 def ballistic_coefficients(k, t, mu0, N, params):
-    """Moments of the unscattered part: the projected, attenuated pulse."""
+    """Moments of the unscattered part: the projected, attenuated pulse.
+
+    The attenuation E_alpha(-zeta t^alpha) is taken at the wavenumber that
+    :func:`evolve_coefficients` and :func:`scattered_coefficients` use,
+    which is k displaced off a defective point.
+    """
     c0 = initial_coefficients(mu0, N).c
-    zeta = 1j * k * params.v * mu0 + params.sigma_t
+    zeta = 1j * _decompose_displaced(k, params, N).k * params.v * mu0 + params.sigma_t
     atten = mittag_leffler(params.alpha, -zeta * t**params.alpha)
     return CoefficientVector(k=float(k), t=float(t), mu0=float(mu0), c=c0 * atten)

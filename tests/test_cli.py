@@ -347,6 +347,29 @@ def test_bad_flag_value_is_rejected_before_output(flag, raw, key, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["ctrw", "--t", "inf", "--n-walkers", "100", "--sigma-a", "0"], "times"),
+    (["subordinate", "--t", "inf"], "times"),
+    (["diffusion", "--t", "0.1,inf"], "times"),
+    (["transport", "--sigma-a", "inf"], "sigma_a"),
+    (["transport", "--v", "inf"], "v"),
+    (["diffusion", "--sigma-s", "inf"], "sigma_s"),
+    (["transport", "--x-max", "inf"], "x_max"),
+])
+def test_non_finite_value_is_rejected_before_output(argv, key, tmp_path):
+    # in a child process with a timeout, so that a route that never returns
+    # fails here instead of stalling the suite
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "fracrte.cli", *argv, "--n-x", "5",
+                           "--output-path", str(out)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert key in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # at this tiny order t / tau^(1/alpha) overflows on the subordination
     # kernel's lowest nodes: valid input past a numerical limit

@@ -86,14 +86,14 @@ class TestWaitingTimes:
             clock = end
 
     @pytest.mark.parametrize("alpha", [0.3, 0.9, 1.0])
-    @pytest.mark.parametrize("n", [None, 1, 7, 4099])
+    @pytest.mark.parametrize("n", [1, 7, 4099])
     def test_matches_formula_bit_for_bit(self, alpha, n):
         # the in-place evaluation against the formula written out on fresh arrays
         rng_new = np.random.Generator(np.random.Philox(key=[5, 1]))
         rng_ref = np.random.Generator(np.random.Philox(key=[5, 1]))
         tau = 1e-4
         got = sample_waiting_time(alpha, tau, rng_new, n=n)
-        u = rng_ref.random(1 if n is None else n)
+        u = rng_ref.random(n)
         u[u == 0.0] = np.finfo(float).tiny
         if alpha == 1.0:
             want = -tau * np.log(u)
@@ -101,18 +101,15 @@ class TestWaitingTimes:
             v = np.clip(rng_ref.random(u.size), 1e-300, 1.0 - 1e-16)
             factor = np.sin(alpha * np.pi) / np.tan(alpha * np.pi * v) - np.cos(alpha * np.pi)
             want = -tau * np.log(u) * factor ** (1.0 / alpha)
-        if n is None:
-            assert isinstance(got, float) and got == want[0]
-        else:
-            assert np.array_equal(got, want)
+        assert np.array_equal(got, want)
         assert _stream_position(rng_new) == _stream_position(rng_ref)
 
     def test_domain(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
-            sample_waiting_time(1.3, 1.0, rng)
+            sample_waiting_time(1.3, 1.0, rng, n=1)
         with pytest.raises(DomainError):
-            sample_waiting_time(0.5, -1.0, rng)
+            sample_waiting_time(0.5, -1.0, rng, n=1)
 
 
 def _fresh(n, mu0):
@@ -359,6 +356,13 @@ class TestSimulateDensity:
     def test_grid_must_be_uniform(self, medium, grid):
         with pytest.raises(DomainError):
             simulate_density(10, [1e-3], grid, medium, 1e-4, seed=0)
+
+    @pytest.mark.parametrize("times", [[np.inf], [1e-3, np.inf], [np.nan], [1e-3, np.nan]])
+    def test_times_must_be_finite(self, medium, times):
+        # an infinite time would keep every walker of this absorption-free
+        # medium renewing forever
+        with pytest.raises(DomainError):
+            simulate_density(10, times, [-1.0, 0.0, 1.0], medium, 1e-4, seed=0)
 
     def test_seed_determinism(self, medium):
         xg = np.linspace(-2, 2, 41)

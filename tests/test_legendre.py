@@ -87,6 +87,9 @@ class TestPhaseFunction:
             PhaseFunction(beta=(0.9,))
         with pytest.raises(InvalidPhaseFunctionError):
             PhaseFunction(beta=(1.0, 3.2))
+        for beta in ((np.nan, 1.0), (np.inf,), (1.0, np.nan)):
+            with pytest.raises(InvalidPhaseFunctionError):
+                PhaseFunction(beta=beta)
 
     def test_negativity_recorded_not_raised(self):
         pf = PhaseFunction(beta=(1.0, 2.7))

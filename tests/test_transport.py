@@ -521,7 +521,7 @@ class TestCollisionSplit:
     @settings(max_examples=200)
     @given(alpha=st.floats(0.05, 1.0, exclude_min=True),
            N=st.integers(1, 15),  # from the benchmark kernel's degree
-           k=st.one_of(st.floats(1e-3, 1e3),
+           k=st.one_of(st.floats(1e-3, 1e3), st.just(K_C_BENCHMARK),
                        st.floats(-1e-6, 1e-6).map(lambda d: K_C_BENCHMARK * (1 + d))),
            t=st.floats(0.001, 2.0), mu0=st.floats(-1.0, 1.0))
     def test_split_identity_random_triples(self, alpha, N, k, t, mu0):
@@ -532,6 +532,36 @@ class TestCollisionSplit:
         cs = scattered_coefficients(k, t, mu0, N, m).c
         cf = evolve_coefficients(k, t, mu0, N, m).c
         assert np.linalg.norm(cb + cs - cf) < 1e-8
+
+    def test_split_closes_at_critical_wavenumber(self, medium):
+        # at k_c itself the moments are taken at the displaced wavenumber,
+        # ballistic attenuation and closure included, so the split closes
+        # as tightly there as anywhere else
+        rng = np.random.default_rng(0)
+        for _ in range(12):
+            t, mu0 = rng.uniform(0.001, 2.0), rng.uniform(-1.0, 1.0)
+            cb = ballistic_coefficients(K_C_BENCHMARK, t, mu0, 1, medium).c
+            cs = scattered_coefficients(K_C_BENCHMARK, t, mu0, 1, medium).c
+            cf = evolve_coefficients(K_C_BENCHMARK, t, mu0, 1, medium).c
+            assert np.linalg.norm(cb + cs - cf) <= 1e-10
+
+    def test_scattered_solves_no_second_system(self, medium, monkeypatch):
+        # the resolvent is applied mode by mode through the one
+        # decomposition: no linear solve, and no operator assembled but the
+        # one that is decomposed
+        assembled = []
+
+        def assemble(*args):
+            assembled.append(args)
+            return spectral.assemble_operator(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scattered_coefficients must not call np.linalg.solve")
+
+        monkeypatch.setattr(transport, "assemble_operator", assemble)
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        c = scattered_coefficients(2.0, 0.5, 0.7, 3, medium).c
+        assert len(assembled) == 1 and np.all(np.isfinite(c))
 
     def test_near_singular_resolvent_is_named(self, medium):
         # for N above the kernel degree, zeta I - A is singular at k = 0 and
