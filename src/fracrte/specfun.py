@@ -4,13 +4,13 @@
 z by one contour rule at every z != 0: the trapezoid rule on a parabola
 around the branch cut plus the residue of the resolvent pole right of it.
 ``m_wright`` evaluates the self-similar profile M_nu(x) of fractional
-diffusion, and ``stable_density`` the one-sided stable density
-f_alpha(t) = alpha t^(-1-alpha) M_alpha(t^(-alpha)) (Mainardi, Mura &
-Pagnini, Int. J. Differ. Equ. 2010, 104505).  The two share one route
-split: the M-Wright series where it certifies its sum, and Zolotarev's
-angular integral for the points it leaves.  At order 1/2 both take their
-closed forms, M_{1/2}(x) = exp(-x^2/4)/sqrt(pi) and ``f_alpha_half``, the
-inverse-Laplace kernel of exp(-sqrt(s)), and no series runs.
+diffusion, which is also the one-sided stable law written in x = t^(-nu):
+its density is f_nu(t) = nu t^(-1-nu) M_nu(t^(-nu)), and the inverse-stable
+kernel of subordination is t^(-nu) M_nu(tau / t^nu) (Mainardi, Mura &
+Pagnini, Int. J. Differ. Equ. 2010, 104505).  The M-Wright series serves
+the points where it certifies its sum, and Zolotarev's angular integral
+the points it leaves.  At order 1/2 every point takes the closed form
+M_{1/2}(x) = exp(-x^2/4)/sqrt(pi), and no series runs.
 
 All functions are pure and accept scalars or numpy arrays in the main
 argument; they are safe to call concurrently.  Every step runs on arrays:
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["mittag_leffler", "m_wright", "f_alpha_half", "stable_density"]
+__all__ = ["mittag_leffler", "m_wright"]
 
 # Parabolic contour s(u) = mu (1 + iu)^2: the trapezoid rule on 2 _ML_NODES + 1
 # nodes, cut where |e^s| = e^(mu (1 - u^2)) falls to e^-_ML_TRUNCATION.  mu comes
@@ -179,7 +179,7 @@ def mittag_leffler(alpha, z):
     return complex(out) if scalar else out
 
 
-# -- M-Wright and the one-sided stable kernel ---------------------------
+# -- M-Wright ------------------------------------------------------------
 
 # The M-Wright series serves x <= _MW_SERIES_XMAX; it stops at the relative
 # tolerance or leaves its points to Zolotarev's integral after the term cap.
@@ -257,13 +257,6 @@ def _m_wright_series(nu, x, rtol, max_terms):
     return values, loss
 
 
-def _m_wright_routed(nu, x):
-    """Series values of M_nu over a flat array x >= 0, clipped at 0, and
-    ``rest``, the points :func:`_m_wright_series` leaves to Zolotarev's integral."""
-    values, rest = _m_wright_series(nu, x, _RTOL, _MAX_TERMS)
-    return np.maximum(values, 0.0), rest
-
-
 # Zolotarev rule: on each side of the peak, panels graded by halves toward
 # it, each with a fixed Gauss-Legendre rule; the peak is found by bisection
 _ZOLO_PANELS = 11
@@ -271,13 +264,12 @@ _ZOLO_GAUSS = np.polynomial.legendre.leggauss(48)
 _ZOLO_BISECTIONS = 60
 
 
-def _stable_zolotarev(alpha, t):
-    """Zolotarev's positive-integrand angular integral of f_alpha over an array t.
+def _m_wright_zolotarev(nu, x):
+    """Zolotarev's positive-integrand angular integral of M_nu over an array x.
 
-    f_alpha(t) = (alpha/(1-alpha)) t^(-1/(1-alpha)) (1/pi)
-                 * integral_0^pi A(phi) exp(-y A(phi)) dphi,
-    y = t^(-alpha/(1-alpha)),
-    A(phi) = [sin(a phi)^a sin((1-a) phi)^(1-a) / sin(phi)]^(1/(1-a)).
+    M_nu(x) = x^(nu/(1-nu)) / ((1-nu) pi) * integral_0^pi A(phi) exp(-y A(phi)) dphi,
+    y = x^(1/(1-nu)),
+    A(phi) = [sin(nu phi)^nu sin((1-nu) phi)^(1-nu) / sin(phi)]^(1/(1-nu)).
 
     No cancellation occurs anywhere, so this serves every point the series
     leaves, for orders arbitrarily close to one.  log A rises from
@@ -291,18 +283,18 @@ def _stable_zolotarev(alpha, t):
     not depend on the other points.  Points whose decay bound y A(0+)
     exceeds 700 (or overflows) are 0.
     """
-    one_m = 1.0 - alpha
+    one_m = 1.0 - nu
     with np.errstate(divide="ignore", over="ignore"):
-        log_y = -alpha / one_m * np.log(t)
-        live = np.exp(log_y) * one_m * alpha ** (alpha / one_m) <= 700.0
-    out = np.zeros(t.shape)
+        log_y = np.log(x) / one_m
+        live = np.exp(log_y) * one_m * nu ** (nu / one_m) <= 700.0
+    out = np.zeros(x.shape)
     if not np.any(live):
         return out
     log_y = log_y[live, None]
 
     def log_a(phi):
         return (
-            alpha * np.log(np.sin(alpha * phi))
+            nu * np.log(np.sin(nu * phi))
             + one_m * np.log(np.sin(one_m * phi))
             - np.log(np.sin(phi))
         ) / one_m
@@ -321,7 +313,7 @@ def _stable_zolotarev(alpha, t):
     gx, gw = _ZOLO_GAUSS
     half = 0.5 * np.diff(edges, axis=1)[:, :, None]
     phi = (0.5 * (edges[:, 1:] + edges[:, :-1]))[:, :, None] + half * gx
-    log_pref = np.log(alpha / (one_m * np.pi)) - np.log(t[live, None, None]) / one_m
+    log_pref = nu * log_y[:, :, None] - np.log(one_m * np.pi)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         la = log_a(phi)
         expo = la + log_y[:, :, None]
@@ -331,35 +323,6 @@ def _stable_zolotarev(alpha, t):
     return out
 
 
-def stable_density(alpha, t):
-    """Density f_alpha(t) whose Laplace transform is exp(-s**alpha).
-
-    For ``alpha = 1/2`` the elementary closed form applies.  Otherwise
-    f_alpha(t) = alpha t^(-1-alpha) M_alpha(t^(-alpha)), and the points
-    run over whole arrays on the routes of :func:`m_wright`: the M-Wright
-    series where it certifies its sum, and Zolotarev's positive-integrand
-    angular integral, which has no cancellation, for the rest, through one
-    fixed Gauss-Legendre rule split at its peak (see
-    :func:`_stable_zolotarev`).
-    """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"stable density requires alpha in (0, 1), got {alpha}")
-    if alpha == 0.5:
-        return f_alpha_half(t)
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_flat = np.atleast_1d(t_arr).ravel()
-    if np.any(t_flat <= 0) or not np.all(np.isfinite(t_flat)):
-        raise DomainError("argument t must be finite and > 0")
-    with np.errstate(over="ignore"):
-        x = t_flat ** -alpha
-    out, rest = _m_wright_routed(alpha, x)
-    out[~rest] *= alpha * t_flat[~rest] ** (-1.0 - alpha)
-    out[rest] = _stable_zolotarev(alpha, t_flat[rest])
-    out = out.reshape(t_arr.shape) if not scalar else out[0]
-    return float(out) if scalar else out
-
-
 def m_wright(nu, x):
     """M-Wright function M_nu(x) for nu in (0,1) and x >= 0.
 
@@ -367,10 +330,9 @@ def m_wright(nu, x):
     no series runs.  Otherwise the defining alternating series serves
     x <= 12 while it retains significant digits (see
     :func:`_m_wright_series`), and every other point (larger x, or orders
-    nu > 1/2 where cancellation bites early) takes the kernel identity
-    M_nu(x) = t^(nu+1) f_nu(t) / nu at t = x^(-1/nu), with f_nu from
-    Zolotarev's integral, all in one call.  Far in the stretched-exponential
-    tail the value underflows to 0.
+    nu > 1/2 where cancellation bites early) takes Zolotarev's integral
+    (see :func:`_m_wright_zolotarev`), all in one call.  Far in the
+    stretched-exponential tail the value underflows to 0.
     """
     if not (0.0 < nu < 1.0):
         raise DomainError(f"order nu must be in (0, 1), got {nu}")
@@ -383,26 +345,9 @@ def m_wright(nu, x):
         with np.errstate(over="ignore"):
             out = np.exp(-0.25 * x_flat**2) / np.sqrt(np.pi)
     else:
-        out, rest = _m_wright_routed(nu, x_flat)
-        t = x_flat[rest] ** (-1.0 / nu)
-        out[rest] = _stable_zolotarev(nu, t) * t ** (nu + 1.0) / nu
+        out, rest = _m_wright_series(nu, x_flat, _RTOL, _MAX_TERMS)
+        out = np.maximum(out, 0.0)
+        out[rest] = _m_wright_zolotarev(nu, x_flat[rest])
     out = out.reshape(x_arr.shape) if not scalar else out[0]
     return float(out) if scalar else out
 
-
-def f_alpha_half(t):
-    """Stable kernel f_{1/2}(t) = t^(-3/2) exp(-1/(4t)) / (2 sqrt(pi)).
-
-    This is the inverse Laplace transform of exp(-sqrt(s)); it is positive
-    on (0, inf) and integrates to one.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_flat = np.atleast_1d(t_arr)
-    if np.any(t_flat <= 0) or not np.all(np.isfinite(t_flat)):
-        raise DomainError("argument t must be finite and > 0")
-    decay = np.exp(-0.25 / t_flat)
-    # t^(-3/2) overflows below t ~ 1e-206, far inside where the decay is 0
-    out = np.where(decay > 0.0, t_flat, 1.0) ** (-1.5) * decay / (2.0 * np.sqrt(np.pi))
-    out = out.reshape(t_arr.shape) if not scalar else out[0]
-    return float(out) if scalar else out

@@ -1,13 +1,16 @@
 """Build fractional-order solutions from the first-order solution.
 
 The order-alpha density is an integral of the alpha = 1 density over an
-operational time, weighted by the kernel
-phi(tau, t) = (t / (alpha tau^(1+1/alpha))) f_alpha(t / tau^(1/alpha)),
-a probability density in tau with int phi(tau, t) exp(-lam tau) d tau =
-E_alpha(-lam t^alpha) (Meerschaert & Scheffler, J. Appl. Prob. 41 (2004)).
-It is self-similar, phi(tau, t) d tau = phi(sigma, 1) d sigma for
-sigma = tau / t^alpha, so :func:`build_kernel`'s Gauss panels in ln sigma
-depend on alpha alone, save for a cap on each panel's oscillation.
+operational time, weighted by the inverse-stable kernel
+phi(tau, t) = t^(-alpha) M_alpha(tau / t^alpha), with M_alpha the M-Wright
+function, a probability density in tau with
+int phi(tau, t) exp(-lam tau) d tau = E_alpha(-lam t^alpha) (Meerschaert &
+Scheffler, J. Appl. Prob. 41 (2004); Mainardi, Mura & Pagnini, Int. J.
+Differ. Equ. 2010, 104505).  It is self-similar,
+phi(tau, t) d tau = M_alpha(sigma) d sigma for sigma = tau / t^alpha, so
+:func:`build_kernel` works in sigma alone: its Gauss panels in ln sigma
+depend on alpha alone, save for a cap on each panel's oscillation, and its
+weights need no power of t, so every order in (0, 1) stays in range.
 """
 
 from __future__ import annotations
@@ -18,40 +21,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
-from .specfun import stable_density
+from .errors import DomainError
+from .specfun import m_wright
 from .transport import DensityField, QuadratureSpec, _modal_density
 
-__all__ = ["SubordinationKernel", "kernel_phi", "build_kernel", "subordinated_energy_density"]
+__all__ = ["SubordinationKernel", "build_kernel", "subordinated_energy_density"]
 
 # entries of one (wavenumber x mode) by kernel-node block of factors
 _BLOCK_ENTRIES = 1 << 16
 _MASS_GATE = 1e-13  # panels carrying less mass are not cut for oscillation
 _PANEL_RADIANS = 16.0  # largest |lam| x tau-width of a cut panel
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)  # built on first use
-
-
-def kernel_phi(tau, t, alpha):
-    """Operational-time weight phi(tau, t) >= 0.
-
-    f_alpha comes from :func:`~fracrte.specfun.stable_density`: its closed
-    form at half order, else its certified series or Zolotarev's integral.
-    Raises :class:`~fracrte.errors.QuadratureError` where t / tau^(1/alpha)
-    overflows or underflows, as it does below alpha ~ 0.04 on the lowest
-    panel of :func:`build_kernel`, 12 decades below the kernel's centre.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0) or t <= 0:
-        raise DomainError("tau and t must be positive")
-    with np.errstate(divide="ignore", over="ignore"):
-        arg = t / tau ** (1.0 / alpha)
-    if not np.all(np.isfinite(arg) & (arg > 0.0)):
-        raise QuadratureError(f"kernel argument t / tau^(1/alpha) leaves the floating-point "
-                              f"range at alpha={alpha}, t={t}")
-    out = t / (alpha * tau ** (1.0 + 1.0 / alpha)) * stable_density(alpha, arg)
-    return float(out) if tau.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -76,15 +56,18 @@ class SubordinationKernel:
 def build_kernel(t, alpha, n_nodes=None, lam_max=None):
     """Composite Gauss rule for the operational-time integral at (t, alpha).
 
-    16-node Gauss-Legendre panels in x = ln(tau / t^alpha): sixteen core
-    panels of width min(2 (1 - alpha), 1) at -ln Gamma(1 + alpha), narrow
-    as phi's right edge falls like exp(-(tau / t^alpha)^(1/(1-alpha))),
-    then panels of doubling width down to 12 decades below the centre and
-    up to the first edge where phi underflows.  Each panel carrying over
+    16-node Gauss-Legendre panels in x = ln sigma, sigma = tau / t^alpha:
+    sixteen core panels of width min(2 (1 - alpha), 1) at
+    -ln Gamma(1 + alpha), narrow as M_alpha's right edge falls like
+    exp(-sigma^(1/(1-alpha))), then panels of doubling width down to 12
+    decades below the centre and up to the first edge where M_alpha
+    underflows.  Each panel carrying over
     1e-13 of the mass is cut evenly in tau until it spans at most 16 rad
     of exp(-lam tau), |lam| <= ``lam_max``.  ``n_nodes`` is a floor: all
-    panels are cut evenly until that many nodes carry weight.  A weight is
-    Gauss weight x half-width x phi(tau, t) tau; zero weights are dropped.
+    panels are cut evenly until that many nodes carry weight.  A node is
+    tau = t^alpha sigma and its weight Gauss weight x half-width x
+    M_alpha(sigma) sigma, from :func:`~fracrte.specfun.m_wright` on all of
+    the rule's nodes at once; zero weights are dropped.
     """
     if t <= 0 or not (0.0 < alpha < 1.0):
         raise DomainError(f"need t > 0 and alpha in (0, 1), got t={t}, alpha={alpha}")
@@ -93,8 +76,8 @@ def build_kernel(t, alpha, n_nodes=None, lam_max=None):
 
     def weights(x):  # panels between consecutive edges x
         half = 0.5 * np.diff(x)[:, None]
-        tau = scale * np.exp(0.5 * (x[1:] + x[:-1])[:, None] + half * s)
-        return tau, gw * half * kernel_phi(tau, t, alpha) * tau
+        sigma = np.exp(0.5 * (x[1:] + x[:-1])[:, None] + half * s)
+        return scale * sigma, gw * half * m_wright(alpha, sigma) * sigma
 
     def cut(x, pieces):  # panel i becomes pieces[i] panels of equal width in tau
         e = np.exp(x)
@@ -106,7 +89,7 @@ def build_kernel(t, alpha, n_nodes=None, lam_max=None):
     bottom = center - 12.0 * math.log(10.0)
     while edges[0] > bottom:
         edges.insert(0, max(3.0 * edges[0] - 2.0 * edges[1], bottom))
-    while kernel_phi(scale * math.exp(edges[-1]), t, alpha) > 0.0:
+    while m_wright(alpha, math.exp(edges[-1])) > 0.0:
         edges.append(3.0 * edges[-1] - 2.0 * edges[-2])
     edges = np.array(edges)
     tau, w = weights(edges)

@@ -707,6 +707,8 @@ def ballistic_coefficients(k, t, mu0, N, params):
     :func:`evolve_coefficients` and :func:`scattered_coefficients` use,
     which is k displaced off a defective point.
     """
+    if t < 0:
+        raise DomainError("t must be >= 0")
     c0 = initial_coefficients(mu0, N).c
     zeta = 1j * _decompose_displaced(k, params, N).k * params.v * mu0 + params.sigma_t
     atten = mittag_leffler(params.alpha, -zeta * t**params.alpha)

@@ -223,12 +223,13 @@ def test_validate_catches_a_wrong_contour(monkeypatch, capsys):
 
 @pytest.mark.slow
 def test_validate_catches_a_wrong_stable_kernel(monkeypatch, capsys):
-    # the closed form f_{1/2} is checked against Zolotarev's integral, so a
-    # wrong closed form makes validate fail
+    # the closed form M_{1/2} is checked against Zolotarev's integral, so a
+    # wrong integral makes validate fail
     import fracrte.specfun as specfun
 
-    right = specfun.f_alpha_half
-    monkeypatch.setattr(specfun, "f_alpha_half", lambda t: right(t) * (1 + 1e-9))
+    right = specfun._m_wright_zolotarev
+    monkeypatch.setattr(specfun, "_m_wright_zolotarev",
+                        lambda nu, x: right(nu, x) * (1 + 1e-9))
     assert main(["validate", "--alpha", "0.5", "--t", "0.05"]) == 1
     assert "FAIL  stable kernel closed form matches Zolotarev integral" in capsys.readouterr().out
 
@@ -370,9 +371,16 @@ def test_non_finite_value_is_rejected_before_output(argv, key, tmp_path):
     assert not out.exists()
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
-    # at this tiny order t / tau^(1/alpha) overflows on the subordination
-    # kernel's lowest nodes: valid input past a numerical limit
+def test_numerical_failure_exit_code(monkeypatch, tmp_path, capsys):
+    # valid input past a numerical limit: a solver that raises
+    # QuadratureError exits 4 with one line and writes nothing
+    import fracrte.cli as cli
+    from fracrte.errors import QuadratureError
+
+    def fails(*args, **kwargs):
+        raise QuadratureError("kernel out of range at alpha=0.03")
+
+    monkeypatch.setattr(cli, "subordinated_energy_density", fails)
     argv = ["subordinate", "--alpha", "0.03", "--n-x", "5"]
     out = tmp_path / "out"
     assert main(argv + ["--output-path", str(out)]) == 4
@@ -394,26 +402,46 @@ def test_tiny_order_mittag_leffler_succeeds(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _subordinate_against_direct(alpha, out_dir):
+    """The ``subordinate`` CSV at t = 0.05 on 41 points, and its relative L1
+    distance from the direct mollified fractional solve at matching settings."""
+    from fracrte.spectral import section5_medium
+    from fracrte.transport import QuadratureSpec, energy_density
+
+    code = main(["subordinate", "--alpha", str(alpha), "--t", "0.05", "--n-x", "41",
+                 "--output-path", str(out_dir)])
+    assert code == 0
+    xs, vals = np.loadtxt(out_dir / f"subordinate_alpha{alpha}_t0.05.csv", delimiter=",",
+                          skiprows=1, usecols=(0, 1), unpack=True)
+    spec = QuadratureSpec(k_max=350.0, tail_mode="none")
+    direct = energy_density(xs, [0.05], section5_medium(alpha), 1, mode="exact", spec=spec,
+                            mollifier_width=6.0 / 350.0).values[0]
+    return xs, vals, np.sum(np.abs(vals - direct)) / np.sum(np.abs(direct))
+
+
 @pytest.mark.slow
 def test_subordinate_subcommand_matches_direct(tmp_path):
     # the subordinated CSV is a genuine density: positive near the source
     # and close in L1 to the direct mollified fractional solve at matching
     # settings (criterion 7's bound)
-    from fracrte.spectral import section5_medium
-    from fracrte.transport import QuadratureSpec, energy_density
-
-    code = main(["subordinate", "--alpha", "0.5", "--t", "0.05", "--n-x", "41",
-                 "--output-path", str(tmp_path)])
-    assert code == 0
-    rows = (tmp_path / "subordinate_alpha0.5_t0.05.csv").read_text().strip().splitlines()[1:]
-    xs = np.array([float(r.split(",")[0]) for r in rows])
-    vals = np.array([float(r.split(",")[1]) for r in rows])
+    xs, vals, miss = _subordinate_against_direct(0.5, tmp_path)
     assert vals[len(vals) // 2] > 1.0
     assert np.all(vals[np.abs(xs) < 1.0] > 0)
-    spec = QuadratureSpec(k_max=350.0, tail_mode="none")
-    direct = energy_density(xs, [0.05], section5_medium(0.5), 1, mode="exact", spec=spec,
-                            mollifier_width=6.0 / 350.0).values[0]
-    assert np.sum(np.abs(vals - direct)) / np.sum(np.abs(direct)) < 1e-3
+    assert miss < 1e-3
+
+
+@pytest.mark.slow
+def test_subordinate_at_tiny_order_matches_direct(tmp_path):
+    # criterion 7 at an order where t / tau^(1/alpha) leaves the float range
+    # on the kernel's lowest nodes, so the kernel must never form it
+    _, _, miss = _subordinate_against_direct(0.03, tmp_path)
+    assert miss < 1e-3
+
+
+@pytest.mark.slow
+def test_validate_at_tiny_order(capsys):
+    assert main(["validate", "--alpha", "0.03"]) == 0
+    assert "8/8 checks passed" in capsys.readouterr().out
 
 
 @pytest.mark.slow

@@ -17,15 +17,13 @@ from fracrte.errors import DomainError
 from fracrte.specfun import (
     _MAX_TERMS,
     _RTOL,
-    _m_wright_routed,
     _m_wright_series,
+    _m_wright_zolotarev,
     _ml_grid,
     _ml_pick,
     _rgamma,
-    f_alpha_half,
     m_wright,
     mittag_leffler,
-    stable_density,
 )
 from fracrte.spectral import section5_medium
 from fracrte.transport import QuadratureSpec, _EnergyLayout, _mode_weights_batch
@@ -134,14 +132,11 @@ class TestMWright:
         assert m_wright(0.25, 2.0) == pytest.approx(M_QUARTER_AT_TWO, rel=1e-10)
 
     def test_far_tail_underflows_to_zero(self):
-        # x^(-1/nu) underflows to 0 here, and t^-alpha overflows for the
-        # smallest t; neither may warn
+        # x^(1/(1-nu)) overflows here; that may not warn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for nu in (0.3, 0.5, 0.9):
                 assert np.all(m_wright(nu, np.array([1e200, 1e308])) == 0.0)
-            for alpha in (0.3, 0.9):
-                assert stable_density(alpha, 5e-324) == 0.0
 
     @pytest.mark.parametrize("nu", [0.1, 0.5, 0.75, 0.9, 0.99])
     def test_zolotarev_ceiling(self, nu):
@@ -166,59 +161,53 @@ class TestMWright:
             m_wright(0.5, -0.1)
 
 
+def _stable_density(alpha, t):
+    """The one-sided stable density f_alpha(t) = alpha t^(-1-alpha) M_alpha(t^(-alpha))."""
+    return alpha * t ** (-1.0 - alpha) * m_wright(alpha, t**-alpha)
+
+
 class TestStableKernel:
+    # the stable law through the M-Wright identity
     def test_closed_form_value(self):
-        assert f_alpha_half(1.0) == pytest.approx(F_HALF_AT_ONE, rel=1e-13)
+        assert _stable_density(0.5, 1.0) == pytest.approx(F_HALF_AT_ONE, rel=1e-13)
 
     def test_vanishes_at_origin(self):
-        assert f_alpha_half(1e-4) < 1e-200
-
-    @pytest.mark.parametrize("t", [1e-210, 1e-250])
-    def test_zero_where_the_decay_underflows(self, t):
-        # t^(-3/2) overflows here; the density is 0, not NaN
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert f_alpha_half(t) == 0.0
-            assert stable_density(0.5, t) == 0.0
-            assert np.array_equal(f_alpha_half(np.array([t, 1.0])),
-                                  [0.0, f_alpha_half(1.0)])
+        assert _stable_density(0.5, 1e-4) < 1e-200
 
     def test_unit_mass(self):
-        val, _ = quad(f_alpha_half, 0, np.inf, limit=300)
+        val, _ = quad(lambda t: _stable_density(0.5, t), 0, np.inf, limit=300)
         assert val == pytest.approx(1.0, abs=1e-8)
 
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            f_alpha_half(0.0)
-
     def test_general_order_matches_half_closed_form(self):
-        ts = np.logspace(-1.5, 1.5, 13)
-        ref = f_alpha_half(ts)
-        got = stable_density(0.5, ts)
-        assert np.max(np.abs(got - ref)) < 1e-12
+        # Zolotarev's integral, which no point takes at order 1/2, against
+        # the closed form there
+        x = np.logspace(-1.5, 1.5, 13) ** -0.5
+        ref = np.exp(-0.25 * x**2) / np.sqrt(np.pi)
+        assert np.max(np.abs(_m_wright_zolotarev(0.5, x) - ref)) < 1e-12
 
     @pytest.mark.parametrize("alpha", [0.25, 0.75])
     def test_general_order_unit_mass(self, alpha):
-        val, _ = quad(lambda t: stable_density(alpha, t), 0, np.inf, limit=400)
+        val, _ = quad(lambda t: _stable_density(alpha, t), 0, np.inf, limit=400)
         assert val == pytest.approx(1.0, abs=1e-7)
 
 
-def _stable_oracle(alpha, t):
-    """Zolotarev's positive-integrand representation of f_alpha at 40 digits.
+def _m_wright_zolotarev_oracle(nu, x):
+    """Zolotarev's positive-integrand representation of M_nu(x) at 40 digits.
 
-    The integral is split at the peak phi*, where y A(phi*) = 1, and at a
-    third and a ninth of each side's length from it: for orders near one
-    the integrand is a spike there that even pieces do not resolve.  The
-    integrand is scaled by its value at the peak, so mpmath's absolute
-    stopping rule acts as a relative one for tiny densities.
+    M_nu(x) = x^(nu/(1-nu)) / ((1-nu) pi) int_0^pi A exp(-y A) dphi with
+    y = x^(1/(1-nu)).  The integral is split at the peak phi*, where
+    y A(phi*) = 1, and at a third and a ninth of each side's length from
+    it: for orders near one the integrand is a spike there that even pieces
+    do not resolve.  The integrand is scaled by its value at the peak, so
+    mpmath's absolute stopping rule acts as a relative one for tiny values.
     """
     with mp.workdps(40):
-        a, t = mp.mpf(alpha), mp.mpf(t)
-        one_m = 1 - a
-        log_y = -a / one_m * mp.log(t)
+        nu, x = mp.mpf(nu), mp.mpf(x)
+        one_m = 1 - nu
+        log_y = mp.log(x) / one_m
 
         def log_a(phi):
-            return (a * mp.log(mp.sin(a * phi)) + one_m * mp.log(mp.sin(one_m * phi))
+            return (nu * mp.log(mp.sin(nu * phi)) + one_m * mp.log(mp.sin(one_m * phi))
                     - mp.log(mp.sin(phi))) / one_m
 
         def log_integrand(phi):
@@ -237,16 +226,18 @@ def _stable_oracle(alpha, t):
         for frac in (mp.mpf(1) / 3, mp.mpf(1) / 9):
             pts |= {lo * (1 - frac), lo + (mp.pi - lo) * frac}
         val = mp.quad(lambda phi: mp.exp(log_integrand(phi) - peak), sorted(pts))
-        return float(a / one_m * t ** (-1 / one_m) * mp.exp(peak) * val / mp.pi)
+        return float(mp.exp(nu * log_y + peak) * val / (one_m * mp.pi))
 
 
 class TestStableOracle:
+    # the bands are given in the stable law's t; both sides take the same
+    # float x = t^-alpha, so the oracle sees exactly the points m_wright does
     def test_series_certificate_band(self):
         # the series cancels here (the m_wright(0.75, x ~ 3.3) points of
         # the transport tail transform)
-        ts = np.linspace(0.15, 0.30, 61)
-        got = stable_density(0.75, ts)
-        ref = np.array([_stable_oracle(0.75, t) for t in ts])
+        xs = np.linspace(0.15, 0.30, 61) ** -0.75
+        got = m_wright(0.75, xs)
+        ref = np.array([_m_wright_zolotarev_oracle(0.75, x) for x in xs])
         assert np.max(np.abs(got - ref) / ref) < 1e-6
 
     @pytest.mark.parametrize("alpha, t_lo, t_hi", [
@@ -258,14 +249,14 @@ class TestStableOracle:
         (0.999, 0.99, 1.03),
     ])
     def test_fallback_route(self, alpha, t_lo, t_hi):
-        # bands that leave the shared series (precision loss, or
-        # t^-alpha > 12), down to f ~ 1e-52, so every point takes the
-        # Zolotarev rule; near order one its integrand is a spike at phi*
-        ts = np.linspace(t_lo, t_hi, 5)
-        _, rest = _m_wright_routed(alpha, ts ** -alpha)
+        # bands that leave the series (precision loss, or x > 12), down to
+        # M ~ 1.6e-52, so every point takes the Zolotarev rule; near order one
+        # its integrand is a spike at phi*
+        xs = np.linspace(t_lo, t_hi, 5) ** -alpha
+        _, rest = _m_wright_series(alpha, xs, _RTOL, _MAX_TERMS)
         assert np.all(rest)
-        got = stable_density(alpha, ts)
-        ref = np.array([_stable_oracle(alpha, t) for t in ts])
+        got = m_wright(alpha, xs)
+        ref = np.array([_m_wright_zolotarev_oracle(alpha, x) for x in xs])
         assert np.max(np.abs(got - ref) / ref) < 1e-10
 
 
@@ -341,12 +332,10 @@ class TestMWrightOracle:
         (0.3, 12.5, 30.0),
     ])
     def test_stretched_exponential_tail(self, nu, x_lo, x_hi):
-        # into the stretched-exponential tail, against the kernel identity
-        # M_nu(x) = t^(nu+1) f_nu(t) / nu, t = x^(-1/nu), on the 40-digit
+        # into the stretched-exponential tail, against the 40-digit
         # Zolotarev oracle, wherever M is above 1e-290
         x = np.linspace(x_lo, x_hi, 6)
-        t = x ** (-1.0 / nu)
-        ref = np.array([_stable_oracle(nu, ti) for ti in t]) * t ** (nu + 1.0) / nu
+        ref = np.array([_m_wright_zolotarev_oracle(nu, xi) for xi in x])
         live = ref > 1e-290
         assert np.any(live)
         got = m_wright(nu, x)
@@ -436,21 +425,12 @@ class TestArrayEvaluation:
     # other points of the call
     @settings(max_examples=40)
     @given(
-        nu=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        nu=st.floats(0.05, 0.999, exclude_min=True, exclude_max=True),
         xs=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8),
     )
     def test_m_wright_pointwise(self, nu, xs):
         x = np.array(xs)
         assert np.array_equal(m_wright(nu, x), [m_wright(nu, xi) for xi in x])
-
-    @settings(max_examples=40)
-    @given(
-        alpha=st.floats(0.05, 0.999, exclude_min=True, exclude_max=True),
-        log_t=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
-    )
-    def test_stable_density_pointwise(self, alpha, log_t):
-        t = 10.0 ** np.array(log_t)
-        assert np.array_equal(stable_density(alpha, t), [stable_density(alpha, ti) for ti in t])
 
     def test_mittag_leffler_series_pointwise(self):
         # the contour picks each point's parabola and sums its own row; a

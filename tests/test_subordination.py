@@ -8,8 +8,8 @@ from scipy.special import gamma
 
 from fracrte.diffusion import DiffusionParams, diffusion_density_mwright
 from fracrte.errors import DomainError
-from fracrte.specfun import f_alpha_half, mittag_leffler
-from fracrte.subordination import build_kernel, kernel_phi, subordinated_energy_density
+from fracrte.specfun import mittag_leffler
+from fracrte.subordination import build_kernel, subordinated_energy_density
 
 D0 = 1.0 / 3.0
 
@@ -29,26 +29,6 @@ def subordinate_density(u1_provider, x, t, alpha):
     return float(acc[0]) if x_arr.ndim == 0 else acc.reshape(x_arr.shape)
 
 
-class TestKernelPhi:
-    def test_half_order_closed_point(self):
-        # phi(1, 1) = 2 f_{1/2}(1)
-        assert kernel_phi(1.0, 1.0, 0.5) == pytest.approx(2.0 * f_alpha_half(1.0),
-                                                          rel=1e-12)
-
-    def test_nonnegative(self):
-        taus = np.logspace(-4, 2, 60)
-        for alpha in (0.25, 0.5, 0.75):
-            assert np.all(kernel_phi(taus, 0.3, alpha) >= 0.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            kernel_phi(-1.0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            kernel_phi(1.0, 0.0, 0.5)
-        with pytest.raises(DomainError):
-            kernel_phi(1.0, 1.0, 1.2)
-
-
 class TestKernelGrid:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999])
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0])
@@ -66,6 +46,29 @@ class TestKernelGrid:
         kernel = build_kernel(t, alpha, lam_max=abs(lam))
         fold = np.sum(kernel.weights * np.exp(-lam * kernel.nodes))
         assert abs(fold - mittag_leffler(alpha, -lam * t**alpha)) <= 1e-9
+
+    @pytest.mark.parametrize("alpha, lam, lam_max", [
+        *((alpha, lam, 17.0) for alpha in (0.02, 0.03, 0.05, 0.1)
+          for lam in (0.0, 2.0, 5 - 10j, 12 + 12j)),
+        (0.03, 12 + 350j, 350.0),
+    ])
+    def test_fold_at_tiny_orders(self, alpha, lam, lam_max):
+        # the kernel is built in sigma = tau / t^alpha, so no power 1/alpha
+        # of the nodes leaves the float range at these orders
+        t = 0.05
+        kernel = build_kernel(t, alpha, lam_max=lam_max)
+        fold = np.sum(kernel.weights * np.exp(-lam * kernel.nodes))
+        assert abs(fold - mittag_leffler(alpha, -lam * t**alpha)) <= 1e-9
+
+    def test_nonnegative_weights(self):
+        for alpha in (0.03, 0.25, 0.5, 0.75):
+            assert np.all(build_kernel(0.3, alpha).weights > 0.0)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            build_kernel(0.0, 0.5)
+        with pytest.raises(DomainError):
+            build_kernel(1.0, 1.2)
 
     def test_node_count(self):
         # the subordinate benchmark's kernel: alpha = 0.95, t = 0.05 and the

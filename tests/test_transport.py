@@ -518,6 +518,14 @@ class TestCollisionSplit:
         cv = scattered_coefficients(1.0, 0.0, 0.5, 3, medium)
         assert np.max(np.abs(cv.c)) == 0.0
 
+    @pytest.mark.parametrize("part", [ballistic_coefficients, scattered_coefficients,
+                                      evolve_coefficients])
+    def test_negative_time_rejected(self, medium, part):
+        # t^alpha is complex for t < 0, so each part of the split refuses it
+        # rather than return a finite vector
+        with pytest.raises(DomainError):
+            part(1.0, -0.1, 0.5, 1, medium)
+
     @settings(max_examples=200)
     @given(alpha=st.floats(0.05, 1.0, exclude_min=True),
            N=st.integers(1, 15),  # from the benchmark kernel's degree
