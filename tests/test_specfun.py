@@ -432,6 +432,17 @@ class TestArrayEvaluation:
         x = np.array(xs)
         assert np.array_equal(m_wright(nu, x), [m_wright(nu, xi) for xi in x])
 
+    @settings(max_examples=40)
+    @given(
+        alpha=st.floats(0.05, 0.999, exclude_min=True, exclude_max=True),
+        log_t=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+    )
+    def test_stable_density_pointwise(self, alpha, log_t):
+        # the stable density's M-Wright factor, at the arguments t^(-alpha)
+        # it takes, which run past those of test_m_wright_pointwise
+        x = (10.0 ** np.array(log_t)) ** -alpha
+        assert np.array_equal(m_wright(alpha, x), [m_wright(alpha, xi) for xi in x])
+
     def test_mittag_leffler_series_pointwise(self):
         # the contour picks each point's parabola and sums its own row; a
         # Taylor series once summed on until the slowest point converged,
