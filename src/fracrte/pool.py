@@ -3,7 +3,8 @@
 ``ordered_map`` runs independent tasks on one thread per usable CPU and
 hands their results back in submission order, so a caller that combines
 them in that order gets the same bytes whatever the thread count.  The
-numpy kernels these tasks spend their time in release the GIL.
+numpy kernels these tasks spend their time in release the GIL.  The
+executor is imported when a second thread first starts.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["ordered_map", "usable_cpus"]
 
@@ -62,9 +62,9 @@ def ordered_map(fn, items):
     items = list(items)
     workers = min(usable_cpus(), len(items)) if len(items) > 1 else 1
     if workers <= 1:
-        for item in items:
-            yield fn(item)
+        yield from map(fn, items)
         return
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for item in items:

@@ -18,7 +18,8 @@ the M-Wright series in blocks of terms with fixed edges, each point
 stopping at its own first event, so a point's value does not depend on
 the other points of the call.
 The only Gamma values needed, the 1/Gamma factors of the M-Wright
-series, come from ``math.gamma``, so the module needs numpy alone.
+series, come from ``math.gamma``, so the module needs numpy alone: of its
+subpackages, ``numpy.polynomial`` at the first Zolotarev rule, never ``numpy.ma``.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _ml_parabola(alpha, z):
         root = np.sqrt(pole).real
     pick = _ml_pick(alpha, z, pole, on_sheet)
     out = np.empty(z.shape, dtype=complex)
-    for j in np.unique(pick):
+    for j in np.flatnonzero(np.bincount(pick)):  # numpy 2.4's np.unique imports numpy.ma
         mu, h = grid_mu[j], grid_h[j]
         w = 1.0 + 1j * h * np.arange(_ML_NODES + 1)
         s = mu * w * w
@@ -258,10 +259,11 @@ def _m_wright_series(nu, x, rtol, max_terms):
 
 
 # Zolotarev rule: on each side of the peak, panels graded by halves toward
-# it, each with a fixed Gauss-Legendre rule; the peak is found by bisection
+# it, each with a fixed 48-node Gauss-Legendre rule; the peak is found by
+# bisection.  Gauss rules are built on first use, as np.polynomial loads on read
 _ZOLO_PANELS = 11
-_ZOLO_GAUSS = np.polynomial.legendre.leggauss(48)
 _ZOLO_BISECTIONS = 60
+_leggauss = functools.cache(lambda n: np.polynomial.legendre.leggauss(n))
 
 
 def _m_wright_zolotarev(nu, x):
@@ -310,7 +312,7 @@ def _m_wright_zolotarev(nu, x):
     # from the peak
     frac = np.append(0.5 ** np.arange(_ZOLO_PANELS), 0.0)
     edges = np.concatenate((lo * (1.0 - frac), lo + (np.pi - lo) * frac[-2::-1]), axis=1)
-    gx, gw = _ZOLO_GAUSS
+    gx, gw = _leggauss(48)
     half = 0.5 * np.diff(edges, axis=1)[:, :, None]
     phi = (0.5 * (edges[:, 1:] + edges[:, :-1]))[:, :, None] + half * gx
     log_pref = nu * log_y[:, :, None] - np.log(one_m * np.pi)

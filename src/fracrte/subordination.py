@@ -15,14 +15,13 @@ weights need no power of t, so every order in (0, 1) stays in range.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError
-from .specfun import m_wright
+from .specfun import _leggauss, m_wright
 from .transport import DensityField, QuadratureSpec, _modal_density
 
 __all__ = ["SubordinationKernel", "build_kernel", "subordinated_energy_density"]
@@ -31,7 +30,6 @@ __all__ = ["SubordinationKernel", "build_kernel", "subordinated_energy_density"]
 _BLOCK_ENTRIES = 1 << 16
 _MASS_GATE = 1e-13  # panels carrying less mass are not cut for oscillation
 _PANEL_RADIANS = 16.0  # largest |lam| x tau-width of a cut panel
-_leggauss = functools.cache(np.polynomial.legendre.leggauss)  # built on first use
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,18 @@ class TestClaim:
             self._main(tmp_path, "--claim", claim)
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("flag, expected", [("1", True), ("", False), (None, False)])
+    def test_host_records_the_byte_code_state(self, tmp_path, monkeypatch, flag, expected):
+        # with byte code writes off, a side without a cache compiles on every launch
+        if flag is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+        (tmp_path / "b" / "src" / "fracrte" / "__pycache__").mkdir(parents=True)
+        host = self._main(tmp_path)["host"]
+        assert host["dont_write_bytecode"] is expected
+        assert host["bytecode_cache"] == {"parent": False, "change": True}
+
     def test_refuses_a_malformed_claim(self, tmp_path):
         with pytest.raises(SystemExit):
             self._main(tmp_path, "--claim", "ctrw")

@@ -142,17 +142,29 @@ class TestRun:
         # either slows every CLI start; ctrw, transport and subordinate
         # load neither.  The import alone leaves out ctrw, and transport and
         # subordinate leave out hashlib (with its libcrypto); ctrw loads
-        # hashlib through numpy's random module whatever this package does
+        # hashlib through numpy's random module whatever this package does.
+        # No route loads numpy.ma (numpy 2.4's np.unique would), the import
+        # leaves out numpy.polynomial (the Gauss rules are built on first
+        # use), and runs that start no second thread leave out
+        # concurrent.futures: transport at N = 1, subordinate, one-block ctrw
         scipy = ("scipy.integrate", "scipy.special")
         ctrw = ["ctrw", "--n-walkers", "500", "--t", "0.01", "--n-x", "5",
                 "--output-path", str(tmp_path)]
         solved = tmp_path_factory.mktemp("solved")
         solvers = [[name, "--t", "0.05", "--n-x", "5", "--output-path", str(solved)]
                    for name in ("transport", "subordinate")]
+        others = tmp_path_factory.mktemp("others")
+        wide = [[*argv, "--t", "0.05", "--n-x", "5", "--output-path", str(others)]
+                for argv in (["transport", "--N", "15", "--mode", "exact"],
+                             ["diffusion", "--sigma-a", "1"])]
+        inline = ("concurrent.futures",)
         run = "import sys; from fracrte.cli import main; main({!r})"
-        cases = [("import fracrte.cli, sys", scipy + ("fracrte.ctrw",)),
-                 (run.format(ctrw), scipy),
-                 *((run.format(argv), scipy + ("hashlib",)) for argv in solvers)]
+        cases = [("import fracrte.cli, sys",
+                  scipy + ("fracrte.ctrw", "numpy.ma", "numpy.polynomial") + inline),
+                 (run.format(ctrw), scipy + ("numpy.polynomial",) + inline),
+                 *((run.format(argv), scipy + ("hashlib", "numpy.ma") + inline)
+                   for argv in solvers),
+                 *((run.format(argv), ("numpy.ma",)) for argv in wide)]
         for code, absent in cases:
             probe = f"; print(*(name in sys.modules for name in {absent!r}))"
             out = subprocess.run([sys.executable, "-c", code + probe], capture_output=True,
@@ -161,6 +173,7 @@ class TestRun:
             assert out.stdout.strip().splitlines()[-1] == " ".join(["False"] * len(absent))
         assert len(list(tmp_path.iterdir())) == 1
         assert len(list(solved.iterdir())) == 2
+        assert len(list(others.iterdir())) == 2
 
 
 # A fresh interpreter in which every scipy module fails to import, then the CLI

@@ -33,9 +33,10 @@ ratio of the medians, every pair as ``[parent, change]`` and three verdicts:
 written as ``"claimed"`` (null without it) and must name a workload that
 is run and an end-to-end metric.  Per side the
 failed and attempted calls and whether every run was correct; and the
-host's core count and versions.  The two checkouts must have identical
-``perfbench/`` trees and ``BENCHMARK.json``, so that both sides run the same
-benchmark.
+host's core count and versions, whether PYTHONDONTWRITEBYTECODE is set and
+whether each side had ``src/fracrte/__pycache__`` before the runs.  The two
+checkouts must have identical ``perfbench/`` trees and ``BENCHMARK.json``, so
+that both sides run the same benchmark.
 """
 
 from __future__ import annotations
@@ -135,8 +136,18 @@ def summarise(runs, seeds, specs):
     return out
 
 
-def host_info():
-    info = {"cores": os.cpu_count(), "python": platform.python_version()}
+def host_info(roots):
+    """Core count and versions, and the byte-code state of each side before the runs.
+
+    With PYTHONDONTWRITEBYTECODE set, a side with no ``src/fracrte/__pycache__``
+    compiles its sources on every launch, which moves its setup_s and cli_s with
+    no change to the code; ``bytecode_cache`` records that directory per side.
+    """
+    cache = os.path.join("src", "fracrte", "__pycache__")
+    info = {"cores": os.cpu_count(), "python": platform.python_version(),
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "bytecode_cache": {side: os.path.isdir(os.path.join(root, cache))
+                               for side, root in roots.items()}}
     for package in ("numpy", "scipy"):
         try:
             info[package] = metadata.version(package)
@@ -181,6 +192,7 @@ def main(argv=None):
         sys.exit(f"error: --claim {args.claim['workload']}:{args.claim['metric']} names no "
                  "workload that is run or no end-to-end metric")
     roots = {"parent": parent, "change": change}
+    host = host_info(roots)
 
     workloads = {}
     for name, pairs in args.workload:
@@ -200,7 +212,7 @@ def main(argv=None):
         "description": args.description,
         "command": f"python3 perfbench/run.py --workload <w> --seed <seed> "
                    f"--seconds {SECONDS} --trace 0",
-        "host": host_info(),
+        "host": host,
         "protocol": "pairs of runs from separate checkouts with identical benchmark code, "
                     "order alternating per seed (odd seeds parent first); values are the "
                     "quartiles and median over the runs of each side; per_pair lists "
