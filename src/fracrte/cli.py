@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -36,6 +37,7 @@ from .subordination import subordinated_energy_density
 from .transport import MODES, QuadratureSpec, energy_density
 
 CSV_HEADER = "x,U,method,alpha,t,N,mode"
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 FIGURE_PANELS = (
     (0.25, (0.0001, 0.0025, 0.01)),
@@ -164,11 +166,23 @@ def parse_config(argv):
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
         if flag:
             parser.add_argument(flag, dest=f.name, help=f.metadata.get("help"))
-    args = vars(parser.parse_args(argv))
+    args = vars(parser.parse_args(_attach_negative_values(argv)))
     config_file = args.pop("config")
     values = load_config_file(config_file) if config_file else {}
     values.update((key, _parse_value(key, raw)) for key, raw in args.items() if raw is not None)
     return RunConfig(**values)
+
+
+def _attach_negative_values(argv):
+    """Write ``--flag -1e-3`` as ``--flag=-1e-3``: argparse takes a token that starts
+    with '-' for a value only in the forms -1 and -0.5, not with an exponent."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _write_csv(path, xs, values, method, config, t, mode):
@@ -181,8 +195,9 @@ def _write_csv(path, xs, values, method, config, t, mode):
 
 
 def _write_per_time(out_dir, name, config, xs, values, method, mode):
-    """One CSV per observation time, ``<name>_alpha<alpha>_t<t>.csv``."""
-    return [_write_csv(os.path.join(out_dir, f"{name}_alpha{config.alpha:g}_t{t:g}.csv"),
+    """One CSV per observation time, ``<name>_alpha<alpha>_t<t>.csv``, with t at the
+    12 significant digits of the CSV's own t column."""
+    return [_write_csv(os.path.join(out_dir, f"{name}_alpha{config.alpha:g}_t{t:.12g}.csv"),
                        xs, vals, method, config, t, mode)
             for t, vals in zip(config.times, values)]
 

@@ -7,7 +7,8 @@ are not pointwise non-negative (the standard linear-anisotropic kernel
 with beta_1 = 2.7 dips below zero); construction records the grid minimum
 instead of rejecting such kernels, and the direction sampler compensates
 with signed importance weights so sampled moments still reproduce the
-signed kernel.
+signed kernel.  Kernels of degree <= 1 are sampled by one closed-form
+inverse of the |p| CDF, higher degrees by rejection.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "legendre_eval",
     "phase_eval",
     "anisotropy_g",
-    "phase_sample",
     "phase_sample_batch",
 ]
 
@@ -151,24 +151,7 @@ def phase_eval(pf, mu, mu_prime):
 
 def anisotropy_g(pf):
     """Mean scattering cosine g = beta_1 / 3 (zero for isotropic kernels)."""
-    if pf.degree < 1:
-        return 0.0
-    return pf.beta[1] / 3.0
-
-
-def _invert_quadratic_cdf(a, target):
-    """Root of a mu^2 + mu/2 + (1/2 - a) = target on the increasing branch.
-
-    Written in the c/q form that stays stable as a -> 0, where the
-    quadratic degenerates to the uniform inverse 2*target - 1.
-    """
-    c = 0.5 - a - target
-    disc = np.maximum(0.25 - 4.0 * a * c, 0.0)
-    q = -0.5 * (0.5 + np.sqrt(disc))
-    # increasing-branch root: c/q is the stable form of (-b + sqrt(D))/(2a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.where(np.abs(a) > 1e-12, c / np.where(q != 0, q, 1.0), 2.0 * target - 1.0)
-    return np.clip(root, -1.0, 1.0)
+    return pf.beta[1] / 3.0 if pf.degree >= 1 else 0.0
 
 
 def _linear_cdf(a, mu):
@@ -176,117 +159,68 @@ def _linear_cdf(a, mu):
     return 0.5 * (mu + 1.0) + a * (mu * mu - 1.0)
 
 
-def phase_sample(pf, mu_prime, rng, n=None):
-    """Draw outgoing directions from the kernel column p(., mu_prime).
+def _invert_quadratic(a, target, decreasing):
+    """Root of a mu^2 + mu/2 + (1/2 - a) = target, on the decreasing branch
+    (q/a) where ``decreasing`` holds and on the increasing one elsewhere.
 
-    For degree L <= 1 the piecewise-quadratic CDF is inverted in closed
-    form; higher degrees fall back to rejection sampling from |p|.  When
-    the kernel column is non-negative the returned weights are exactly 1;
-    where truncation makes it signed, samples are drawn from |p|/norm and
-    each carries a signed importance weight so that weighted sample
-    moments estimate integrals against the signed kernel.
-
-    Parameters
-    ----------
-    pf : PhaseFunction
-    mu_prime : float
-        Incoming direction.
-    rng : numpy.random.Generator
-        Exclusive random stream for this caller.
-    n : int, optional
-        Number of draws; omit for a single (mu, weight) pair.
-
-    Returns
-    -------
-    (mu, weight) : tuple of float or ndarray
+    The increasing root takes the c/q form (q <= -1/4) that stays stable as
+    a -> 0, where the quadratic degenerates to the uniform inverse 2*target - 1.
     """
-    if abs(mu_prime) > 1 + 1e-14:
-        raise DomainError("mu_prime must lie in [-1, 1]")
-    squeeze = n is None
-    size = 1 if squeeze else int(n)
-    mu, w = phase_sample_batch(pf, np.full(size, float(mu_prime)), rng)
-    if squeeze:
-        return float(mu[0]), float(w[0])
-    return mu, w
+    c = 0.5 - a - target
+    disc = np.maximum(0.25 - 4.0 * a * c, 0.0)
+    q = -0.5 * (0.5 + np.sqrt(disc))
+    with np.errstate(all="ignore"):  # q/a is read only where decreasing, so |a| > 1/4
+        increasing = np.where(np.abs(a) > 1e-12, c / q, 2.0 * target - 1.0)
+        root = np.where(decreasing, q / a, increasing)
+    return np.clip(root, -1.0, 1.0)
 
 
 def phase_sample_batch(pf, mu_prime, rng):
-    """Vectorized :func:`phase_sample` with one incoming direction per draw."""
+    """Draw a direction and a weight from the column p(., mu') for each mu'.
+
+    Degree L <= 1 inverts the piecewise-quadratic CDF in closed form; higher
+    degrees take rejection draws from |p|.  The weight is 1 where the column
+    is non-negative.  Where truncation makes it signed, mu is drawn from
+    |p|/norm and weighs sign(p) * integral |p|, so that weighted sample
+    moments estimate integrals against the signed kernel.  ``rng`` is the
+    caller's own stream; both arrays returned have the shape of ``mu_prime``.
+    """
     mu_prime = np.asarray(mu_prime, dtype=float)
-    if pf.degree == 0:
-        return rng.uniform(-1.0, 1.0, size=mu_prime.shape), np.ones(mu_prime.shape)
-    if pf.degree == 1:
-        return _sample_linear(pf.beta[1], mu_prime, rng.random(mu_prime.shape))
-    mu = np.empty(mu_prime.shape)
-    w = np.empty(mu_prime.shape)
+    if np.any(np.abs(mu_prime) > 1 + 1e-14):
+        raise DomainError("mu_prime must lie in [-1, 1]")
+    if pf.degree <= 1:
+        beta1 = pf.beta[1] if pf.degree else 0.0
+        return _sample_linear(beta1, mu_prime, rng.random(mu_prime.shape))
+    mu, w = np.empty(mu_prime.shape), np.empty(mu_prime.shape)
     for i, mp in enumerate(mu_prime.ravel()):
         mu.ravel()[i], w.ravel()[i] = _sample_rejection_one(pf, float(mp), rng)
     return mu, w
 
 
-def _sample_linear(beta1, mu_prime_arr, u):
-    """Inverse-CDF draws from linear kernel columns, vectorized.
+def _sample_linear(beta1, mu_prime, u):
+    """Inverse-CDF draws from columns of the kernel of degree <= 1, elementwise.
 
-    ``mu_prime_arr`` and ``u`` have matching shapes.  Columns with
-    |beta1 mu'| <= 1 are true densities and get weight 1; signed columns
-    are sampled from |p| piecewise with weight sign(p) * integral |p|.
+    ``mu_prime`` and ``u`` have matching shapes; beta1 = 0 is the isotropic
+    kernel, whose draws are 2u - 1.  Columns with |beta1 mu'| <= 1 are
+    densities: mu solves F(mu) = u and the weight is 1.  A signed column is
+    negative on a lobe from mu0 = -1/(beta1 mu') to the left end (a > 0) or
+    the right end (a < 0) of [-1, 1], of mass ``lobe``.  Its |p|-CDF, scaled
+    to z = 1 + 2 lobe, runs -F over a left lobe and F - 2 lobe after it, or
+    F before a right lobe and 2 F(mu0) - F on it; draws in the lobe weigh -z
+    and the others z.
     """
-    a = beta1 * mu_prime_arr / 4.0
-    mu = np.empty(a.shape)
-    w = np.ones(a.shape)
-    plain = np.abs(beta1 * mu_prime_arr) <= 1.0
-    if np.any(plain):
-        mu[plain] = _invert_quadratic_cdf(a[plain], u[plain])
-    signed = ~plain
-    if not np.any(signed):
-        return mu, w
-    a_s = a[signed]
-    u_s = u[signed]
-    mu_zero = -1.0 / (beta1 * mu_prime_arr[signed])
-    f_zero = _linear_cdf(a_s, mu_zero)
-    mu_sg = np.empty(a_s.shape)
-    w_sg = np.empty(a_s.shape)
-    pos = a_s > 0
-    if np.any(pos):
-        # negative lobe on [-1, mu_zero]: |p|-CDF runs -F there, then
-        # resumes the increasing branch shifted by twice the lobe mass
-        lobe = -f_zero[pos]
-        z = 1.0 + 2.0 * lobe
-        us = u_s[pos] * z
-        in_lobe = us < lobe
-        vals = np.empty(us.shape)
-        vals[in_lobe] = _invert_quadratic_decreasing(a_s[pos][in_lobe], -us[in_lobe])
-        vals[~in_lobe] = _invert_quadratic_cdf(
-            a_s[pos][~in_lobe], us[~in_lobe] - 2.0 * lobe[~in_lobe]
-        )
-        mu_sg[pos] = vals
-        w_sg[pos] = np.where(in_lobe, -z, z)
-    neg = ~pos
-    if np.any(neg):
-        # mirrored case: lobe at the right end, F overshoots one at mu_zero
-        lobe = f_zero[neg] - 1.0
-        z = 1.0 + 2.0 * lobe
-        us = u_s[neg] * z
-        in_main = us <= f_zero[neg]
-        vals = np.empty(us.shape)
-        vals[in_main] = _invert_quadratic_cdf(a_s[neg][in_main], us[in_main])
-        vals[~in_main] = _invert_quadratic_decreasing(
-            a_s[neg][~in_main], 2.0 * f_zero[neg][~in_main] - us[~in_main]
-        )
-        mu_sg[neg] = vals
-        w_sg[neg] = np.where(in_main, z, -z)
-    mu[signed] = mu_sg
-    w[signed] = w_sg
-    return mu, w
-
-
-def _invert_quadratic_decreasing(a, target):
-    """Root of F(mu) = target on the decreasing branch of the signed CDF."""
-    c = 0.5 - a - target
-    disc = np.maximum(0.25 - 4.0 * a * c, 0.0)
-    q = -0.5 * (0.5 + np.sqrt(disc))
-    root = q / a
-    return np.clip(root, -1.0, 1.0)
+    a = beta1 * mu_prime / 4.0
+    signed = np.abs(beta1 * mu_prime) > 1.0
+    left = a > 0
+    with np.errstate(all="ignore"):  # read only where signed; mu' = 0 gives 0 * inf
+        f0 = _linear_cdf(a, -1.0 / (beta1 * mu_prime))
+    lobe = np.where(signed, np.where(left, -f0, f0 - 1.0), 0.0)
+    z = 1.0 + 2.0 * lobe
+    us = u * z
+    in_lobe = signed & np.where(left, us < lobe, us > f0)
+    target = np.where(in_lobe, np.where(left, -us, 2.0 * f0 - us),
+                      np.where(left, us - 2.0 * lobe, us))
+    return _invert_quadratic(a, target, in_lobe), np.where(in_lobe, -z, z)
 
 
 def _sample_rejection_one(pf, mu_prime, rng):

@@ -51,6 +51,15 @@ class TestParseConfig:
         assert main(["transport", flag, raw]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key}: cannot parse")
 
+    @pytest.mark.parametrize("argv, x_min, x_max", [
+        (["--x-min", "-1e-3", "--x-max", "1"], -1e-3, 1.0),
+        (["--x-min", "-2E0", "--x-max", "-2E-1"], -2.0, -0.2),
+        (["--x-min=-1e-3", "--x-max", "-0.5e-4"], -1e-3, -0.5e-4),
+    ])
+    def test_negative_values_with_an_exponent(self, argv, x_min, x_max):
+        cfg = parse_config(["transport", *argv, "--alpha", "0.75"])
+        assert (cfg.x_min, cfg.x_max, cfg.alpha) == (x_min, x_max, 0.75)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense=1\n")
@@ -107,6 +116,21 @@ class TestRun:
         fa = (tmp_path / "a" / "ctrw_alpha0.5_t0.02.csv").read_bytes()
         fb = (tmp_path / "b" / "ctrw_alpha0.5_t0.02.csv").read_bytes()
         assert fa == fb
+
+    @pytest.mark.parametrize("argv, times", [
+        (["diffusion"], ("0.01000001", "0.01000002")),
+        (["ctrw", "--n-walkers", "2000"], ("0.02000001", "0.02000002")),
+    ])
+    def test_close_times_write_distinct_files(self, argv, times, tmp_path, capsys):
+        # names carry t at the CSV's 12 significant digits, so no file overwrites another
+        assert main([*argv, "--t", ",".join(times), "--n-x", "5",
+                     "--output-path", str(tmp_path)]) == 0
+        name = argv[0]
+        expected = [str(tmp_path / f"{name}_alpha0.5_t{t}.csv") for t in times]
+        assert capsys.readouterr().out.split() == expected
+        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in expected)
+        for path, t in zip(expected, times):
+            assert Path(path).read_text().splitlines()[1].split(",")[4] == t
 
     def test_csv_bytes_match_per_row_format(self, tmp_path):
         # the rows are written from lists in one join; the bytes equal those

@@ -20,6 +20,8 @@ from fracrte.legendre import PhaseFunction, phase_sample_batch
 from fracrte.spectral import MediumParams, section5_medium
 from fracrte.specfun import mittag_leffler
 
+from phase_reference import reference_phase_sample
+
 # frozen survival references E_{1/2}(-sqrt(t/tau))
 SURVIVAL_HALF = {1.0: 0.42758357615580700441,
                  5.0: 0.23232629437646507431,
@@ -218,7 +220,9 @@ def _renewal_step(walkers, idx, cp, pf, rng):
     absorb = (u >= cp.xi_s) & (u < cp.xi_t)
     sc_idx = idx[scatter]
     if sc_idx.size:
-        mu_new, wfac = phase_sample_batch(pf, walkers.mu[sc_idx], rng)
+        # degree <= 1 kernels draw through the sampler's frozen reference
+        sample = reference_phase_sample if pf.degree <= 1 else phase_sample_batch
+        mu_new, wfac = sample(pf, walkers.mu[sc_idx], rng)
         walkers.mu[sc_idx] = mu_new
         walkers.weight[sc_idx] *= wfac
     mv_idx = idx[~scatter & ~absorb]

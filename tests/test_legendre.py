@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fracrte.errors import DomainError, InvalidPhaseFunctionError
@@ -10,9 +12,10 @@ from fracrte.legendre import (
     anisotropy_g,
     legendre_eval,
     phase_eval,
-    phase_sample,
     phase_sample_batch,
 )
+
+from phase_reference import reference_phase_sample
 
 
 class TestLegendreEval:
@@ -108,7 +111,7 @@ class TestPhaseSampling:
     def test_isotropic_mean(self):
         pf = PhaseFunction.isotropic()
         rng = np.random.default_rng(0)
-        mu, w = phase_sample(pf, 0.4, rng, n=1_000_000)
+        mu, w = phase_sample_batch(pf, np.full(1_000_000, 0.4), rng)
         assert np.all(w == 1.0)
         assert abs(np.mean(mu)) < 3.0 * np.std(mu) / 1000.0
 
@@ -117,7 +120,7 @@ class TestPhaseSampling:
         # truncated kernel column is signed
         pf = PhaseFunction.linear(0.9)
         rng = np.random.default_rng(1)
-        mu, w = phase_sample(pf, 1.0, rng, n=1_000_000)
+        mu, w = phase_sample_batch(pf, np.full(1_000_000, 1.0), rng)
         est = np.sum(w * mu) / np.sum(w)
         sig = np.std(w * mu) / np.sqrt(mu.size)
         assert abs(est - 0.9) < 4.0 * sig
@@ -126,7 +129,7 @@ class TestPhaseSampling:
     def test_perpendicular_is_uniform(self):
         pf = PhaseFunction.linear(0.9)
         rng = np.random.default_rng(2)
-        mu, w = phase_sample(pf, 0.0, rng, n=200_000)
+        mu, w = phase_sample_batch(pf, np.full(200_000, 0.0), rng)
         assert np.all(w == 1.0)
         # uniform: compare empirical CDF against (mu+1)/2
         mu_s = np.sort(mu)
@@ -139,7 +142,7 @@ class TestPhaseSampling:
         mu_p = 0.3
         rng = np.random.default_rng(5)
         n = 100_000
-        mu, w = phase_sample(pf, mu_p, rng, n=n)
+        mu, w = phase_sample_batch(pf, np.full(n, mu_p), rng)
         assert np.all(w == 1.0)
         a = 2.7 * mu_p / 4.0
         mu_s = np.sort(mu)
@@ -151,7 +154,7 @@ class TestPhaseSampling:
         # second moment too, against direct quadrature of the signed kernel
         pf = PhaseFunction.linear(0.9)
         rng = np.random.default_rng(9)
-        mu, w = phase_sample(pf, -0.8, rng, n=500_000)
+        mu, w = phase_sample_batch(pf, np.full(500_000, -0.8), rng)
         ref, _ = quad(lambda m: m * m * phase_eval(pf, m, -0.8), -1, 1)
         est = np.sum(w * mu**2) / mu.size
         sig = np.std(w * mu**2) / np.sqrt(mu.size)
@@ -171,11 +174,61 @@ class TestPhaseSampling:
     def test_higher_degree_rejection_smoke(self):
         pf = PhaseFunction(beta=(1.0, 1.0, 0.5))
         rng = np.random.default_rng(6)
-        mu, w = phase_sample(pf, 0.5, rng, n=20_000)
+        mu, w = phase_sample_batch(pf, np.full(20_000, 0.5), rng)
         est = np.sum(w * mu) / np.sum(w)
         ref, _ = quad(lambda m: m * phase_eval(pf, m, 0.5), -1, 1)
         assert abs(est - ref) < 0.02
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            phase_sample(PhaseFunction.isotropic(), 1.4, np.random.default_rng(0))
+        for beta in ((1.0,), (1.0, 2.7), (1.0, 1.0, 0.5)):
+            with pytest.raises(DomainError):
+                phase_sample_batch(PhaseFunction(beta), np.array([0.2, 1.4]),
+                                   np.random.default_rng(0))
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=[seed, 0]))
+
+
+@st.composite
+def _linear_columns(draw):
+    """A kernel of degree <= 1 and incoming directions that hit its edge cases:
+    beta_1 = 0 (isotropic), in (0, 1] (every column a density) or in (1, 3)
+    (columns with |beta_1 mu'| > 1 signed); mu' = 0, +-1 and +-1/beta_1."""
+    beta1 = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(1.0, 3.0,
+                                                                          exclude_min=True,
+                                                                          exclude_max=True)))
+    special = [0.0, -0.0, 1.0, -1.0] + ([1.0 / beta1, -1.0 / beta1] if beta1 > 1.0 else [])
+    mu_p = draw(st.lists(st.one_of(st.sampled_from(special), st.floats(-1.0, 1.0)),
+                         max_size=40))
+    # each direction repeated, so that one column meets many uniforms
+    return beta1, np.repeat(np.array(mu_p, dtype=float), draw(st.integers(1, 50)))
+
+
+class TestLinearSamplerMatchesReference:
+    """``phase_sample_batch`` against the four-path sampler it replaced, bit for bit."""
+
+    @staticmethod
+    def _assert_identical(pf, mu_p, seed):
+        rng, rng_ref = _philox(seed), _philox(seed)
+        mu, w = phase_sample_batch(pf, mu_p, rng)
+        mu_ref, w_ref = reference_phase_sample(pf, mu_p, rng_ref)
+        assert np.array_equal(mu, mu_ref) and np.array_equal(np.signbit(mu), np.signbit(mu_ref))
+        assert np.array_equal(w, w_ref)
+        assert mu.shape == w.shape == mu_p.shape
+        assert np.array_equal(rng.random(4), rng_ref.random(4))
+
+    @given(_linear_columns(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    @example((0.0, np.array([])), 0)
+    @example((2.7, np.array([])), 1)
+    def test_bit_identical(self, column, seed):
+        beta1, mu_p = column
+        pf = PhaseFunction.isotropic() if beta1 == 0.0 else PhaseFunction((1.0, beta1))
+        self._assert_identical(pf, mu_p, seed)
+
+    @pytest.mark.parametrize("beta1", [0.0, 0.9, 1.5, 2.7, 2.99])
+    def test_bit_identical_on_many_draws(self, beta1):
+        pf = PhaseFunction.isotropic() if beta1 == 0.0 else PhaseFunction((1.0, beta1))
+        mu_p = np.random.default_rng(3).uniform(-1.0, 1.0, 100_000)
+        self._assert_identical(pf, mu_p, 11)
