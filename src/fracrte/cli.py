@@ -37,7 +37,7 @@ from .subordination import subordinated_energy_density
 from .transport import MODES, QuadratureSpec, energy_density
 
 CSV_HEADER = "x,U,method,alpha,t,N,mode"
-_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|-(inf(inity)?|nan)", re.I)
 
 FIGURE_PANELS = (
     (0.25, (0.0001, 0.0025, 0.01)),
@@ -175,10 +175,13 @@ def parse_config(argv):
 
 def _attach_negative_values(argv):
     """Write ``--flag -1e-3`` as ``--flag=-1e-3``: argparse takes a token that starts
-    with '-' for a value only in the forms -1 and -0.5, not with an exponent."""
+    with '-' for a value only in the forms -1 and -0.5, not -1e-3, -inf or -nan.
+    Every long flag takes one value but --help, which is left alone, as is its prefix."""
     out = []
     for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE.fullmatch(token):
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+                and _NEGATIVE.fullmatch(token)):
             out[-1] += "=" + token
         else:
             out.append(token)

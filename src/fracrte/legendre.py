@@ -151,7 +151,9 @@ def phase_eval(pf, mu, mu_prime):
 
 def anisotropy_g(pf):
     """Mean scattering cosine g = beta_1 / 3 (zero for isotropic kernels)."""
-    return pf.beta[1] / 3.0 if pf.degree >= 1 else 0.0
+    if pf.degree < 1:
+        return 0.0
+    return pf.beta[1] / 3.0
 
 
 def _linear_cdf(a, mu):
@@ -191,7 +193,8 @@ def phase_sample_batch(pf, mu_prime, rng):
     if pf.degree <= 1:
         beta1 = pf.beta[1] if pf.degree else 0.0
         return _sample_linear(beta1, mu_prime, rng.random(mu_prime.shape))
-    mu, w = np.empty(mu_prime.shape), np.empty(mu_prime.shape)
+    mu = np.empty(mu_prime.shape)
+    w = np.empty(mu_prime.shape)
     for i, mp in enumerate(mu_prime.ravel()):
         mu.ravel()[i], w.ravel()[i] = _sample_rejection_one(pf, float(mp), rng)
     return mu, w
@@ -211,6 +214,8 @@ def _sample_linear(beta1, mu_prime, u):
     """
     a = beta1 * mu_prime / 4.0
     signed = np.abs(beta1 * mu_prime) > 1.0
+    if not signed.any():  # densities only: mu solves F(mu) = u, which is 2u - 1 at beta1 = 0
+        return (_invert_quadratic(a, u, False) if beta1 else 2.0 * u - 1.0), np.ones(u.shape)
     left = a > 0
     with np.errstate(all="ignore"):  # read only where signed; mu' = 0 gives 0 * inf
         f0 = _linear_cdf(a, -1.0 / (beta1 * mu_prime))

@@ -60,6 +60,14 @@ class TestParseConfig:
         cfg = parse_config(["transport", *argv, "--alpha", "0.75"])
         assert (cfg.x_min, cfg.x_max, cfg.alpha) == (x_min, x_max, 0.75)
 
+    @pytest.mark.parametrize("argv", [["--help", "-1"], ["--he", "-1e-3"]])
+    def test_help_takes_no_negative_value(self, argv, capsys):
+        # --help takes no value, so the number after it stays a token of its own
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["transport", *argv])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fracrte")
+
     def test_unknown_config_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense=1\n")
@@ -393,6 +401,8 @@ def test_bad_flag_value_is_rejected_before_output(flag, raw, key, tmp_path, caps
     (["transport", "--v", "inf"], "v"),
     (["diffusion", "--sigma-s", "inf"], "sigma_s"),
     (["transport", "--x-max", "inf"], "x_max"),
+    (["transport", "--x-min", "-inf"], "x_min"),
+    (["diffusion", "--x-max", "-NaN"], "x_max"),
 ])
 def test_non_finite_value_is_rejected_before_output(argv, key, tmp_path):
     # in a child process with a timeout, so that a route that never returns
