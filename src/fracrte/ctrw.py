@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ScaleError
+from .errors import DomainError, NumericalError, ScaleError
 from .legendre import phase_sample_batch
 from .pool import ordered_map
 from .transport import DensityField
@@ -174,6 +174,11 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed):
     seed : int
         Stream seed; output is bit-reproducible for fixed
         (seed, n_walkers, grid) regardless of thread count.
+
+    Raises NumericalError, naming the times, when a density value or its
+    standard error is not finite: each draw from a kernel column that dips
+    negative multiplies the walker's weight by a factor above 1 in
+    magnitude, so after enough scatterings the weights overflow.
     """
     if n_walkers < 1:
         raise DomainError("need at least one walker")
@@ -197,7 +202,10 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed):
     def run(block):
         m = min(_BLOCK, n_walkers - block * _BLOCK)
         rng = np.random.Generator(np.random.Philox(key=[seed, block]))
-        return _run_block(m, t_obs, cp, params.phase, rng)
+        # overflowing weights are reported once, after the loop; numpy's
+        # error state is per thread, so a pool thread needs its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run_block(m, t_obs, cp, params.phase, rng)
 
     def add(snapshots):
         snap_x, snap_w, snap_alive = snapshots
@@ -212,18 +220,24 @@ def simulate_density(n_walkers, t_obs, x_grid, params, tau, seed):
                 alive_w[it] += live.sum()
 
     n_blocks = (n_walkers + _BLOCK - 1) // _BLOCK
-    for snapshots in ordered_map(run, range(n_blocks)):
-        add(snapshots)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for snapshots in ordered_map(run, range(n_blocks)):
+            add(snapshots)
 
     norm = n_walkers * dx
+    values, stderr = hist_w / norm, np.sqrt(hist_w2) / norm
+    bad = ~np.all(np.isfinite(values) & np.isfinite(stderr), axis=1)
+    if np.any(bad):
+        times = ", ".join(f"{t:.12g}" for t in t_obs[bad])
+        raise NumericalError(f"CTRW density not finite at t = {times}: "
+                             "the signed scattering weights overflowed")
     field = DensityField(
         x_grid=centers,
         times=tuple(t_obs),
-        values=hist_w / norm,
+        values=values,
         method="ctrw",
     )
-    return CTRWResult(field=field, survival=alive_w / n_walkers,
-                      stderr=np.sqrt(hist_w2) / norm)
+    return CTRWResult(field=field, survival=alive_w / n_walkers, stderr=stderr)
 
 
 def _run_block(m, t_obs, cp, pf, rng):

@@ -10,14 +10,14 @@ oscillation: each panel's Legendre series is integrated exactly against
 e^(ikx) (Filon's rule; Iserles & Norsett, Proc. R. Soc. A 461 (2005)
 1383), so no position enters the layout and a value does not depend on
 the rest of its grid.  The integrands decay only algebraically (like 1/k^2
-after direction integration): for energy densities the known large-k limit
-is subtracted and its transform, one M-Wright call for every time, added
-back; a fitted a/(k^2+q^2) tail likewise; the remainder past K is three
-end-point terms from the last panel's series.  One array pass over
-(time x distinct position), in blocks of positions whose panel sums stay
-within a fixed entry count, serves every density here (energy, closed
-two-moment, ballistic) and the diffusion limit; repeated positions are
-reduced once.
+after direction integration): the energy layout subtracts the known N = 1
+front and adds back its transform, one M-Wright call for every time; the
+shared reduction does the same with a fitted a/(k^2+q^2) tail, and the
+remainder past K is three end-point terms from the last panel's series.
+One array pass over (time x distinct position), in blocks of positions
+whose panel sums stay within a fixed entry count, serves every density here
+(energy, closed two-moment, ballistic) and the diffusion limit; repeated
+positions are reduced once.
 """
 
 from __future__ import annotations
@@ -86,20 +86,6 @@ class QuadratureSpec:
             raise DomainError("nodes_per_halfperiod must be >= 8")
         if self.tail_mode not in ("none", "asymptotic_subtraction"):
             raise DomainError(f"unknown tail_mode {self.tail_mode!r}")
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """Analytic large-k model of integrand rows and their exact transforms.
-
-    ``integrand(k)`` gives one row per integrand, subtracted from the
-    numerical integrand over the finite range; ``transform(x)`` gives, per
-    row, the exact value of (1/pi) * integral_0^inf cos(kx) integrand(k) dk,
-    added back.
-    """
-
-    integrand: object
-    transform: object
 
 
 @dataclass(frozen=True)
@@ -319,13 +305,13 @@ class _PanelLayout:
         self.q = max(k_c, 0.5)
         self._top = slice(-3 * n, None)  # the fitted tail's window: the top three panels
 
-    def reduce(self, f_rows, x, tail=None, mollifier_width=None, ends=True):
+    def reduce(self, f_rows, x, mollifier_width=None, ends=True):
         """Invert rows of integrand values at ``flat_nodes`` onto positions ``x``.
 
         ``f_rows`` (rows, nodes) may be complex (Hermitian integrand, signed
-        ``x``); the result is (rows, len(x)).  A ``tail`` model, whose
-        integrand gives (rows, nodes) and transform (rows, positions), is
-        subtracted and its transform added back.  A ``mollifier_width``
+        ``x``); the result is (rows, len(x)).  This is the plain Filon sum
+        every density shares; a known large-k model of the integrand is the
+        caller's to subtract and restore.  A ``mollifier_width``
         multiplies the integrand by a Gaussian of that width; once it has
         died by K (K * width > 5) the integrand is complete: its plain
         panel sum is the value, and a fitted tail would only model the
@@ -351,8 +337,6 @@ class _PanelLayout:
         if mollifier_width:
             f_rows *= np.exp(-0.5 * (nodes * mollifier_width) ** 2)
         complete = bool(mollifier_width) and self.k_max * mollifier_width > 5.0
-        if tail is not None:
-            f_rows -= tail.integrand(nodes)
         a_alg = np.array([0.0 if complete else _fit_algebraic_tail(
             nodes[self._top], row[self._top], self.q) for row in f_rows])
         f_rows = f_rows - a_alg[:, None] / (nodes**2 + self.q**2)
@@ -374,8 +358,6 @@ class _PanelLayout:
         # Hermitian integrand: (1/2pi) * 2 Re
         values = values / np.pi + (a_alg[:, None] * np.exp(-self.q * np.abs(distinct))
                                    / (2.0 * self.q))
-        if tail is not None:
-            values += tail.transform(distinct)
         values = values[:, inverse]
         finite = np.all(np.isfinite(values), axis=0)
         if not np.all(finite):
@@ -441,41 +423,21 @@ def _mode_weights_batch(k_nodes, params, N, mode):
     return dec.eigenvalues, weights(dec)
 
 
-def _tail_model_for(params, times):
-    """Large-k integrand limits E_2a(-(vk t^a)^2 / 3), one row per time,
-    and their transforms M_a(|x|/c)/(2c), c = v t^a/sqrt(3).
-
-    The integrands of every time are one ``mittag_leffler`` call and the
-    transforms one ``m_wright`` call; neither function's value at a point
-    depends on the other points of its call.
-    """
-    alpha, v = params.alpha, params.v
-    if alpha >= 1.0:
-        return None
-    c = np.array([v * t**alpha / np.sqrt(3.0) for t in times])
-
-    def tail_integrand(k):
-        return mittag_leffler(2.0 * alpha, -np.multiply.outer(c, k) ** 2).real
-
-    def tail_transform(x):
-        scaled = np.abs(x) / c[:, None]
-        return m_wright(alpha, scaled.ravel()).reshape(scaled.shape) / (2.0 * c[:, None])
-
-    return TailModel(integrand=tail_integrand, transform=tail_transform)
-
-
 class _EnergyLayout(_PanelLayout):
     """The panel layout seen from a medium.
 
     The fine segment ends at the medium's critical wavenumber, and
-    ``reduce`` applies the energy-density policy: an optional Gaussian
-    mollifier, or else the analytic large-k tail when the spec asks for it,
-    and the end-point terms past K only for alpha < 1 (at alpha = 1 the
-    front terms of the integrand do not decay, and the plain sum is the
-    value).  Given the largest time ``t_max``, the fine segment also
-    resolves the diffusive width w = sqrt(D0 t_max^alpha): it is graded on
-    [0, 3/w] whenever 3/w < k_c, that is once
-    t_max^alpha > 36 / (sigma_s (1 - g)).
+    ``reduce`` owns the energy density's large-k policy.  Unmollified, with
+    the spec's asymptotic subtraction and alpha < 1, it subtracts the N = 1
+    front E_2a(-(ck)^2), c = v t^a/sqrt(3), of every time (one
+    ``mittag_leffler`` call) and adds back its transform M_a(|x|/c)/(2c)
+    (one ``m_wright`` call on the distinct |x|); neither function's value
+    at a point depends on the other points of its call.  The end-point
+    terms past K are added only for alpha < 1: at alpha = 1 the front terms
+    of the integrand do not decay, and the plain sum is the value.  Given
+    the largest time ``t_max``, the fine segment also resolves the diffusive
+    width w = sqrt(D0 t_max^alpha): it is graded on [0, 3/w] whenever
+    3/w < k_c, that is once t_max^alpha > 36 / (sigma_s (1 - g)).
     """
 
     def __init__(self, params, spec, t_max=None):
@@ -487,13 +449,21 @@ class _EnergyLayout(_PanelLayout):
         """Cosine-transform node values, one row per time, onto positions:
         (len(times), nodes) -> (len(times), len(x_abs)); a scalar time maps
         one row to one row."""
-        # the analytic tail model describes the unmollified object
-        tail = None
-        if not mollifier_width and self.spec.tail_mode == "asymptotic_subtraction":
-            tail = _tail_model_for(self.params, np.atleast_1d(times))
-        values = super().reduce(np.asarray(u_hat, dtype=float), x_abs, tail=tail,
-                                mollifier_width=mollifier_width,
-                                ends=self.params.alpha < 1.0)
+        alpha = self.params.alpha
+        # the front describes the unmollified object, and at alpha = 1 it does not decay
+        front = (not mollifier_width and self.spec.tail_mode == "asymptotic_subtraction"
+                 and alpha < 1.0)
+        if front:
+            c = np.array([self.params.v * t**alpha / np.sqrt(3.0) for t in np.atleast_1d(times)])
+            u_hat = u_hat - mittag_leffler(
+                2.0 * alpha, -np.multiply.outer(c, self.flat_nodes) ** 2).real
+        values = super().reduce(u_hat, x_abs, mollifier_width=mollifier_width,
+                                ends=alpha < 1.0)
+        if front:
+            distinct, inverse = np.unique(np.abs(x_abs), return_inverse=True)
+            scaled = distinct / c[:, None]
+            transform = m_wright(alpha, scaled.ravel()).reshape(scaled.shape) / (2.0 * c[:, None])
+            values += transform[:, inverse]
         return values[0] if np.ndim(times) == 0 else values
 
 

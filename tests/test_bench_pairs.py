@@ -171,6 +171,17 @@ class TestClaim:
         assert host["dont_write_bytecode"] is expected
         assert host["bytecode_cache"] == {"parent": False, "change": True}
 
+    def test_host_records_the_src_line_count(self, tmp_path):
+        # physical lines of src/**/*.py: a last line without a newline counts,
+        # byte code and other files do not
+        _checkout(tmp_path / "a", {"src/pkg/a.py": "x = 1\ny = 2\n\n",
+                                   "src/pkg/__pycache__/a.cpython-311.pyc": "1\n2\n",
+                                   "src/pkg/notes.txt": "1\n2\n"})
+        _checkout(tmp_path / "b", {"src/pkg/a.py": "x = 1\nw = 0\n",
+                                   "src/pkg/sub/b.py": "y = 2\nz", "src/top.py": ""})
+        assert self._main(tmp_path)["host"]["src_lines"] == {"parent": 3, "change": 4}
+        assert bench_pairs.src_lines(str(tmp_path / "missing")) == 0
+
     def test_refuses_a_malformed_claim(self, tmp_path):
         with pytest.raises(SystemExit):
             self._main(tmp_path, "--claim", "ctrw")

@@ -438,6 +438,23 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ctrw_weight_overflow_exits_4(tmp_path):
+    # a strongly forward, signed kernel column multiplies a walker's weight
+    # by more than 1 in magnitude per scattering: by t = 3000 the weights
+    # overflow, and the run must not write infinite densities
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "fracrte.cli", "ctrw", "--sigma-s", "90",
+                           "--g", "0.99", "--t", "3000", "--n-walkers", "20",
+                           "--output-path", str(out)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: numerical failure: ")
+    assert proc.stderr.count("\n") == 1
+    assert "t = 3000" in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_tiny_order_mittag_leffler_succeeds(tmp_path, capsys):
     # the Mittag-Leffler contour serves alpha = 0.02, where a Taylor series
     # once ran out of terms and this run exited 4

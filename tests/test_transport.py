@@ -689,19 +689,35 @@ class TestReductionLocality:
         assert np.array_equal(np.concatenate(seen["tables"]), distinct)
         assert np.array_equal(np.concatenate([c[0] for c in seen["chunks"]]), distinct)
 
-    def test_stacked_tail_transform(self):
-        # one m_wright call for every time gives the per-time transforms
-        # M_a(|x|/c)/(2c), c = v t^a / sqrt(3), and per-time integrands
-        m = replace(section5_medium(0.5), v=1.3)
+    def test_front_through_the_energy_layout(self):
+        # the energy layout reduces u minus the per-time fronts E_2a(-(ck)^2)
+        # and adds back their transforms M_a(|x|/c)/(2c), c = v t^a / sqrt(3);
+        # with a mollifier, tail_mode="none" or alpha = 1 it is the plain base
+        # reduction (at alpha = 1 without end-point terms)
         times = np.array([0.01, 0.05, 0.1])
         x = np.r_[0.0, np.linspace(-2.0, 2.0, 801), 7.5]
-        k = np.linspace(0.0, 300.0, 97)
-        tail = transport._tail_model_for(m, times)
-        for row, t in enumerate(times):
-            c = 1.3 * t**0.5 / np.sqrt(3.0)
-            assert np.array_equal(tail.transform(x)[row], m_wright(0.5, abs(x) / c) / (2.0 * c))
-            assert np.array_equal(tail.integrand(k)[row],
-                                  mittag_leffler(1.0, -((k * c) ** 2)).real)
+        cases = [(0.5, QuadratureSpec(), None), (0.75, QuadratureSpec(), None),
+                 (0.5, QuadratureSpec(), 0.02), (0.75, QuadratureSpec(tail_mode="none"), None),
+                 (1.0, QuadratureSpec(), None)]
+        for alpha, spec, width in cases:
+            m = replace(section5_medium(alpha), v=1.3)
+            layout = _EnergyLayout(m, spec)
+            lam, w = _mode_weights_batch(layout.flat_nodes, m, 1, "hermitian")
+            u = np.array([np.einsum("kn,kn->k", w, mittag_leffler(
+                alpha, -lam.ravel() * t**alpha).reshape(lam.shape)).real for t in times])
+            got = layout.reduce(u, x, times, mollifier_width=width)
+            if width or spec.tail_mode == "none" or alpha == 1.0:
+                expected = _PanelLayout.reduce(layout, u, x, mollifier_width=width,
+                                               ends=alpha < 1.0)
+            else:
+                k = layout.flat_nodes
+                c = [1.3 * t**alpha / np.sqrt(3.0) for t in times]
+                rows = np.array([mittag_leffler(2.0 * alpha, -((k * ci) ** 2)).real for ci in c])
+                fronts = np.array([m_wright(alpha, abs(x) / ci) / (2.0 * ci) for ci in c])
+                expected = _PanelLayout.reduce(layout, u - rows, x) + fronts
+            assert np.array_equal(got, expected), (alpha, spec, width)
+            assert np.array_equal(layout.reduce(u[1], x, times[1], mollifier_width=width),
+                                  expected[1])
 
 
 class TestConjugatePairHalving:

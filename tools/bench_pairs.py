@@ -33,8 +33,9 @@ ratio of the medians, every pair as ``[parent, change]`` and three verdicts:
 written as ``"claimed"`` (null without it) and must name a workload that
 is run and an end-to-end metric.  Per side the
 failed and attempted calls and whether every run was correct; and the
-host's core count and versions, whether PYTHONDONTWRITEBYTECODE is set and
-whether each side had ``src/fracrte/__pycache__`` before the runs.  The two
+host's core count and versions, whether PYTHONDONTWRITEBYTECODE is set,
+whether each side had ``src/fracrte/__pycache__`` before the runs and each
+side's ``src_lines``, the physical lines of its ``src/**/*.py``.  The two
 checkouts must have identical ``perfbench/`` trees and ``BENCHMARK.json``, so
 that both sides run the same benchmark.
 """
@@ -77,6 +78,17 @@ def benchmark_differences(parent, change):
             and filecmp.cmp(spec_a, spec_b, shallow=False)):
         differ.append("BENCHMARK.json")
     return differ
+
+
+def src_lines(root):
+    """Physical lines of the ``.py`` files under ``root/src``, byte code aside."""
+    src = os.path.join(root, "src")
+    total = 0
+    for name in _tree_files(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                total += sum(1 for _ in fh)
+    return total
 
 
 def run_once(checkout, workload, seed):
@@ -137,7 +149,8 @@ def summarise(runs, seeds, specs):
 
 
 def host_info(roots):
-    """Core count and versions, and the byte-code state of each side before the runs.
+    """Core count and versions, and the byte-code state and ``src/`` line count of
+    each side before the runs.
 
     With PYTHONDONTWRITEBYTECODE set, a side with no ``src/fracrte/__pycache__``
     compiles its sources on every launch, which moves its setup_s and cli_s with
@@ -147,7 +160,8 @@ def host_info(roots):
     info = {"cores": os.cpu_count(), "python": platform.python_version(),
             "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
             "bytecode_cache": {side: os.path.isdir(os.path.join(root, cache))
-                               for side, root in roots.items()}}
+                               for side, root in roots.items()},
+            "src_lines": {side: src_lines(root) for side, root in roots.items()}}
     for package in ("numpy", "scipy"):
         try:
             info[package] = metadata.version(package)
